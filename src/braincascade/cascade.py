@@ -75,6 +75,11 @@ class CascadeConfig:
         if self.accumulate_mode not in ("sum", "mean"):
             raise ValueError("accumulate_mode must be 'sum' or 'mean'")
 
+    def close(self):
+        """Release every stage's predictor (external model processes)."""
+        for stage in self.bfs_stages + self.dfs_stages:
+            stage.predictor.close()
+
 
 @dataclass(frozen=True)
 class ExtractionResult:
@@ -156,7 +161,9 @@ def dfs_refine(vol: Volume, region: BoundingBox, config: CascadeConfig) -> Extra
     if not full_masks:
         empty = Volume(np.zeros(vol.dims, dtype=np.uint8), vol.spacing, Kind.MASK)
         return ExtractionResult(empty, roi_trace, STATUS_NO_BRAIN, stage_masks)
-    final = majority_vote(full_masks)
+    # every stage mask is zero outside the first region: vote inside it only
+    inside = [Volume(m.data[region.slices()], m.spacing, Kind.MASK) for m in full_masks]
+    final = reconstruct_full(majority_vote(inside), region, vol.dims)
     return ExtractionResult(final, roi_trace, STATUS_OK, stage_masks)
 
 
@@ -239,6 +246,7 @@ def config_from_dict(d: dict, gt: Volume | None = None,
     version = d.get("schema_version", CONFIG_SCHEMA_VERSION)
     if version != CONFIG_SCHEMA_VERSION:
         raise ValueError(f"unsupported config schema version {version}")
+    built: list[Predictor] = []  # closed again if a later stage fails
 
     def stages(key, default_models):
         specs = d.get(key)
@@ -254,19 +262,25 @@ def config_from_dict(d: dict, gt: Volume | None = None,
             name = s.get("name", model or f"w{window}")
             backend = s.get("predictor", d.get("predictor", {"backend": "constant"}))
             pred = _build_predictor(backend, window, name, gt, master_seed)
+            built.append(pred)
             out.append(StageSpec(name, pred, window, step))
         return out
 
-    return CascadeConfig(
-        bfs_stages=stages("bfs_stages", ["A", "D"]),
-        dfs_stages=stages("dfs_stages", ["B", "C", "D"]),
-        alpha=d.get("alpha", 0.2),
-        bfs_threshold=d.get("bfs_threshold", 0.0),
-        accumulate_mode=d.get("accumulate_mode", "sum"),
-        bfs_combine=d.get("bfs_combine", "union"),
-        connectivity=d.get("connectivity", 26),
-        threads=threads,
-    )
+    try:
+        return CascadeConfig(
+            bfs_stages=stages("bfs_stages", ["A", "D"]),
+            dfs_stages=stages("dfs_stages", ["B", "C", "D"]),
+            alpha=d.get("alpha", 0.2),
+            bfs_threshold=d.get("bfs_threshold", 0.0),
+            accumulate_mode=d.get("accumulate_mode", "sum"),
+            bfs_combine=d.get("bfs_combine", "union"),
+            connectivity=d.get("connectivity", 26),
+            threads=threads,
+        )
+    except BaseException:
+        for pred in built:
+            pred.close()
+        raise
 
 
 def default_oracle_config(gt: Volume, threads: int = 1, **overrides) -> CascadeConfig:

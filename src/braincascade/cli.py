@@ -14,10 +14,10 @@ import numpy as np
 from . import __version__, cascade, io_nifti, metrics, synth
 from . import volume as vol_ops
 from .cascade import STATUS_NO_BRAIN, single_pass_extract
-from .predictor import NoiseSpec, NoisyOraclePredictor
+from .predictor import NoiseSpec, PredictorError
 from .synth import MODEL_PARAMS, MODEL_STEPS
 from .volume import BoundingBox, Kind, Volume
-from .windowing import coverage_counts, plan_windows
+from .windowing import WindowError, coverage_counts, plan_windows
 
 DEFAULT_CONFIG_ENV = "BRAINCASCADE_CONFIG"
 
@@ -86,9 +86,11 @@ def cmd_extract(args) -> int:
         )
     config = cascade.config_from_dict(cfg_dict, gt=gt, master_seed=args.seed,
                                       threads=args.threads)
-
-    result = cascade.extract_brain(vol, config, conform_side=side,
-                                   target_spacing=spacing)
+    try:
+        result = cascade.extract_brain(vol, config, conform_side=side,
+                                       target_spacing=spacing)
+    finally:
+        config.close()
 
     # map the mask back to the input's native grid
     resampled_dims = tuple(
@@ -292,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate synthetic training pairs")
     p.add_argument("--labelmap", help="input label-map NIfTI (default: phantom)")
-    p.add_argument("--phantom", action="store_true",
-                   help="use the built-in phantom label map")
     p.add_argument("--model", choices=list(MODEL_PARAMS),
                    help="use a predefined model row")
     p.add_argument("--params", help="synthesis params JSON")
@@ -332,7 +332,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, io_nifti.NiftiError) as e:
+    except (OSError, ValueError, io_nifti.NiftiError, PredictorError, WindowError) as e:
         return _fail(str(e))
 
 

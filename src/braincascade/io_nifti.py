@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from .volume import Kind, Volume
+from .volume import Kind, Volume, is_binary
 
 HEADER_SIZE = 348
 VOX_OFFSET = 352
@@ -109,7 +109,7 @@ def write_nifti(vol: Volume, path, datatype: str | None = None) -> None:
     dtype = _DTYPES[code]
 
     data = vol.data
-    if vol.kind is Kind.MASK and not np.isin(data, (0, 1)).all():
+    if vol.kind is Kind.MASK and not is_binary(data):
         raise NiftiError("mask volume contains values outside {0, 1}")
     if code in (DT_UINT8, DT_INT16):
         info = np.iinfo(dtype)

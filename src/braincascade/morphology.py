@@ -57,16 +57,23 @@ def connected_components(mask: Volume, connectivity: int = 26) -> LabeledCompone
 
     flat = raw.ravel()
     nz = np.flatnonzero(flat)
-    # first occurrence index of each raw label, in scan order
-    first = np.full(k + 1, flat.size, dtype=np.int64)
-    np.minimum.at(first, flat[nz], nz)
-    order = np.argsort(first[1:], kind="stable")  # raw label -> rank
-    remap = np.zeros(k + 1, dtype=np.int32)
-    remap[1:][order] = np.arange(1, k + 1, dtype=np.int32)
-    relabeled = remap[raw]
-    sizes = np.bincount(relabeled.ravel(), minlength=k + 1)[1:]
-    labels = Volume(relabeled, mask.spacing, Kind.LABEL)
-    return LabeledComponents(labels, [int(s) for s in sizes])
+    seq = flat[nz]  # labels of the foreground voxels, in scan order
+    # The raw labels already number components in first-encounter order iff
+    # each voxel's label is at most one above every label seen before it.
+    if seq[0] == 1 and (seq[1:] <= np.maximum.accumulate(seq)[:-1] + 1).all():
+        labels = raw.astype(np.int32, copy=False)
+    else:
+        # first occurrence index of each raw label, in scan order
+        first = np.full(k + 1, flat.size, dtype=np.int64)
+        np.minimum.at(first, seq, nz)
+        order = np.argsort(first[1:], kind="stable")  # raw label -> rank
+        remap = np.zeros(k + 1, dtype=np.int32)
+        remap[1:][order] = np.arange(1, k + 1, dtype=np.int32)
+        labels = remap[raw]
+        seq = remap[seq]
+    sizes = np.bincount(seq, minlength=k + 1)[1:]
+    return LabeledComponents(Volume(labels, mask.spacing, Kind.LABEL),
+                             [int(s) for s in sizes])
 
 
 def largest_component(c: LabeledComponents) -> Volume:
@@ -83,12 +90,16 @@ def largest_component(c: LabeledComponents) -> Volume:
 
 def bounding_box(mask: Volume) -> BoundingBox:
     """Tightest axis-aligned box containing all foreground voxels."""
-    nz = np.nonzero(mask.data)
-    if nz[0].size == 0:
+    data = mask.data
+    # project onto each axis instead of listing every foreground voxel
+    rows = np.flatnonzero(data.any(axis=(1, 2)))
+    if rows.size == 0:
         raise EmptyMaskError("cannot fit a bounding box to an empty mask")
-    mins = tuple(int(ix.min()) for ix in nz)
-    maxs = tuple(int(ix.max()) + 1 for ix in nz)
-    return BoundingBox(mins, maxs)
+    plane = data[rows[0]:rows[-1] + 1].any(axis=0)
+    cols = np.flatnonzero(plane.any(axis=1))
+    deps = np.flatnonzero(plane.any(axis=0))
+    return BoundingBox((rows[0], cols[0], deps[0]),
+                       (rows[-1] + 1, cols[-1] + 1, deps[-1] + 1))
 
 
 def majority_vote(masks: list[Volume]) -> Volume:

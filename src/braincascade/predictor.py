@@ -179,7 +179,8 @@ class ExternalPredictor(Predictor):
     Wire protocol on the child's standard streams, little-endian:
     handshake magic "CPRD" + version u32 + window u32 in both directions
     (windows must match); then per request an origin (3 x i64) and w^3
-    float32 intensities, answered by w^3 float32 probabilities.
+    float32 intensities, answered by w^3 float32 probabilities. Both patches
+    travel in C order: the last axis varies fastest.
     """
 
     def __init__(self, command: list[str], window: int, timeout: float = 30.0,

@@ -23,6 +23,17 @@ class Kind(str, Enum):
     MASK = "mask"
 
 
+def is_binary(data: np.ndarray) -> bool:
+    """True iff every value of the array is 0 or 1.
+
+    Bool and unsigned dtypes cannot hold a value below 0, so one ``max`` pass
+    decides; any other dtype (signed, float) is tested value by value.
+    """
+    if data.dtype == np.bool_ or np.issubdtype(data.dtype, np.unsignedinteger):
+        return bool(data.max(initial=0) <= 1)
+    return bool(np.isin(data, (0, 1)).all())
+
+
 @dataclass(frozen=True)
 class Volume:
     """A 3D scalar grid with isotropic-or-not voxel spacing in mm.
@@ -44,10 +55,12 @@ class Volume:
         if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
             raise ValueError(f"spacing must be 3 positive reals, got {self.spacing}")
         if self.kind is Kind.MASK:
-            if not np.isin(data, (0, 1)).all():
+            if not is_binary(data):
                 raise ValueError("mask volume contains values outside {0, 1}")
         elif self.kind is Kind.LABEL:
-            if data.min(initial=0) < 0 or not np.issubdtype(data.dtype, np.integer):
+            if not np.issubdtype(data.dtype, np.integer) or (
+                np.issubdtype(data.dtype, np.signedinteger) and data.min(initial=0) < 0
+            ):
                 raise ValueError("label volume must hold non-negative integers")
 
     @property

@@ -1,3 +1,7 @@
+import hashlib
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,9 +13,14 @@ from braincascade.cascade import (
     extract_brain, reconstruct_full, single_pass_extract,
 )
 from braincascade.morphology import bounding_box
-from braincascade.predictor import ConstantPredictor, NoiseSpec, OraclePredictor
+from braincascade.predictor import (
+    ConstantPredictor, ExternalPredictor, NoiseSpec, NoisyOraclePredictor,
+    OraclePredictor, PredictorError,
+)
 from braincascade.volume import BoundingBox, Kind, Volume
 from conftest import intensity, mask
+
+SERVER = os.path.join(os.path.dirname(__file__), "fixtures", "echo_server.py")
 
 
 def phantom_case(seed, dims=(192, 192, 192)):
@@ -181,6 +190,47 @@ class TestExtractBrain:
         assert metrics.dice(result.mask, gt) > metrics.dice(single, gt)
 
 
+class TestMaskDigests:
+    """Pins the exact bytes of extract_brain's mask on two small phantoms.
+
+    The hot path may be made faster but never different: any change to
+    thresholding, labelling, boxing, reconstruction or the vote that moves a
+    single voxel changes these digests.
+    """
+
+    @staticmethod
+    def digest(result):
+        assert result.mask.data.dtype == np.uint8
+        return hashlib.sha256(np.ascontiguousarray(result.mask.data).tobytes()).hexdigest()
+
+    def test_oracle(self):
+        img, gt = phantom_case(21, (96, 96, 96))
+        result = extract_brain(img, small_oracle_config(gt), conform_side=96)
+        assert self.digest(result) == (
+            "c223ed6fde35e11c1ba0074b8e58bf9f5b843aa7cc61ca3ae6b5dddfa4de8ba5")
+
+    def test_blob_noise(self):
+        img, gt = phantom_case(22, (96, 96, 96))
+        noise = NoiseSpec(fp_blob_rate=1.0, fn_hole_rate=1.0, fp_blob_radius=(2.0, 5.0))
+        seeds = {"a": 1, "d": 4, "b": 2, "c": 3, "dd": 5}
+
+        def stage(name, window, step):
+            pred = NoisyOraclePredictor(gt, window, noise, model_seed=seeds[name],
+                                        master_seed=7, id=name)
+            return StageSpec(name, pred, window, step)
+
+        config = small_oracle_config(
+            gt,
+            bfs_stages=[stage("a", 48, 24), stage("d", 16, 16)],
+            dfs_stages=[stage("b", 32, 16), stage("c", 24, 8), stage("dd", 16, 8)],
+        )
+        result = extract_brain(img, config, conform_side=96)
+        # the region really shrinks, so the cropped vote is exercised
+        assert result.roi_trace[-1][1].volume < result.roi_trace[0][1].volume
+        assert self.digest(result) == (
+            "c89edc537e16f708248b99e2af6ed40d364e24009ef2819309320c2be5abbe7d")
+
+
 class TestConfig:
     def test_decreasing_windows_enforced(self):
         gt = mask(np.ones((32, 32, 32)))
@@ -209,6 +259,30 @@ class TestConfig:
     def test_from_dict_unknown_backend(self):
         with pytest.raises(ValueError):
             config_from_dict({"predictor": {"backend": "nope"}})
+
+    def test_from_dict_failure_closes_built_predictors(self, monkeypatch):
+        closed = []
+        real_close = ExternalPredictor.close
+
+        def close(self):
+            closed.append(self.id)
+            real_close(self)
+            assert self._proc.poll() is not None  # the model process is gone
+
+        monkeypatch.setattr(ExternalPredictor, "close", close)
+
+        def external(mode):
+            return {"backend": "external", "timeout": 10.0,
+                    "command": [sys.executable, SERVER, mode]}
+
+        with pytest.raises(PredictorError, match="window 64"):
+            config_from_dict({
+                "bfs_stages": [{"name": "a", "window": 32, "step": 32,
+                                "predictor": external("constant")}],
+                "dfs_stages": [{"name": "b", "window": 16, "step": 16,
+                                "predictor": external("window64")}],
+            })
+        assert sorted(closed) == ["a", "b"]
 
     def test_from_dict_schema_version(self):
         with pytest.raises(ValueError):

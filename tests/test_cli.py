@@ -1,4 +1,6 @@
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +8,10 @@ import pytest
 from braincascade import io_nifti, synth
 from braincascade import volume as vol_ops
 from braincascade.cli import main
+from braincascade.predictor import ExternalPredictor, Predictor
 from braincascade.volume import Kind, Volume
+
+SERVER = os.path.join(os.path.dirname(__file__), "fixtures", "echo_server.py")
 
 
 @pytest.fixture
@@ -82,6 +87,55 @@ class TestExtract:
         assert code == 2
         mask = io_nifti.read_nifti(out, kind=Kind.MASK)
         assert mask.data.sum() == 0
+
+    def external_die_config(self, tmp_path):
+        cfg = tmp_path / "die.json"
+        cfg.write_text(json.dumps({
+            "predictor": {"backend": "external", "timeout": 10.0,
+                          "command": [sys.executable, SERVER, "die"]},
+            "bfs_stages": [{"name": "a", "window": 32, "step": 32}],
+            "dfs_stages": [{"name": "b", "window": 16, "step": 16}],
+        }))
+        return cfg
+
+    def test_predictor_failure_is_one_line_error(self, tmp_path, phantom_files, capsys):
+        img_path, _ = phantom_files
+        cfg = self.external_die_config(tmp_path)
+        code = main(["extract", str(img_path), "--config", str(cfg),
+                     "--out", str(tmp_path / "mask.nii"), "--side", "96"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "window origin (0, 0, 0)" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "mask.nii").exists()
+
+    def test_predictors_closed_after_success(self, tmp_path, phantom_files, monkeypatch):
+        img_path, gt_path = phantom_files
+        closed = []
+        monkeypatch.setattr(Predictor, "close", lambda self: closed.append(self.id))
+        code = main(["extract", str(img_path), "--config",
+                     str(oracle_config(tmp_path, gt_path)),
+                     "--out", str(tmp_path / "mask.nii"), "--side", "96"])
+        assert code == 0
+        assert sorted(closed) == ["a", "b", "c", "d", "dd"]
+
+    def test_predictors_closed_after_failure(self, tmp_path, phantom_files, monkeypatch):
+        img_path, _ = phantom_files
+        closed = []
+        real_close = ExternalPredictor.close
+
+        def close(self):
+            closed.append((self.id, self._proc.pid))
+            real_close(self)
+            assert self._proc.poll() is not None  # the model process is gone
+
+        monkeypatch.setattr(ExternalPredictor, "close", close)
+        code = main(["extract", str(img_path), "--config",
+                     str(self.external_die_config(tmp_path)),
+                     "--out", str(tmp_path / "mask.nii"), "--side", "96"])
+        assert code == 1
+        assert sorted(name for name, _ in closed) == ["a", "b"]
 
     def test_missing_config(self, tmp_path, phantom_files, capsys, monkeypatch):
         monkeypatch.delenv("BRAINCASCADE_CONFIG", raising=False)

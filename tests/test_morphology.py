@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from braincascade import morphology
 from braincascade.morphology import (
     EmptyMaskError, bounding_box, connected_components, largest_component,
     majority_vote, threshold,
@@ -107,6 +109,28 @@ class TestConnectedComponents:
             np.testing.assert_array_equal(c.labels.data, ref_labels)
             assert c.sizes == ref_sizes
 
+    @pytest.mark.parametrize("connectivity", [6, 26])
+    def test_permuted_raw_labels_renumbered(self, rng, monkeypatch, connectivity):
+        """Raw labels out of scan order take the relabel path, sizes included."""
+        real_label = ndimage.label
+
+        def permuted_label(data, structure=None):
+            raw, k = real_label(data, structure=structure)
+            perm = np.concatenate([[0], rng.permutation(k) + 1]).astype(raw.dtype)
+            return perm[raw], k
+
+        monkeypatch.setattr(morphology.ndimage, "label", permuted_label)
+        checked = 0
+        for _ in range(30):
+            dims = tuple(rng.integers(3, 9, size=3))
+            data = (rng.random(dims) < 0.3).astype(np.uint8)
+            c = connected_components(mask(data), connectivity)
+            ref_labels, ref_sizes = brute_force_components(data, connectivity)
+            np.testing.assert_array_equal(c.labels.data, ref_labels)
+            assert c.sizes == ref_sizes
+            checked += len(set(ref_sizes)) > 1
+        assert checked > 0  # some cases have components of unequal sizes
+
     def test_sizes_sum_to_foreground(self, rng):
         m = random_mask(rng, (10, 10, 10), 0.3)
         c = connected_components(m)
@@ -164,6 +188,24 @@ class TestBoundingBox:
     def test_empty_rejected(self):
         with pytest.raises(EmptyMaskError):
             bounding_box(mask(np.zeros((4, 4, 4))))
+
+    def test_fully_set(self):
+        box = bounding_box(mask(np.ones((5, 6, 7))))
+        assert box.mins == (0, 0, 0) and box.maxs == (5, 6, 7)
+
+    def test_fortran_order(self, rng):
+        # read_nifti hands back Fortran-ordered views of the file data
+        for _ in range(20):
+            data = np.zeros((7, 9, 11), dtype=np.uint8)
+            lo = rng.integers(0, (6, 8, 10))
+            hi = lo + rng.integers(1, (7, 9, 11) - lo + 1)
+            data[lo[0], lo[1]:hi[1], lo[2]] = 1
+            data[hi[0] - 1, lo[1], hi[2] - 1] = 1
+            f = np.asfortranarray(data)
+            m = mask(f)
+            assert not m.data.flags.c_contiguous
+            box = bounding_box(m)
+            assert box.mins == tuple(lo) and box.maxs == tuple(hi)
 
     def test_faces_touch_foreground(self, rng):
         for _ in range(20):

@@ -17,6 +17,37 @@ class TestVolume:
         with pytest.raises(ValueError):
             Volume(np.full((2, 2, 2), -1), kind=Kind.LABEL)
 
+    @pytest.mark.parametrize("data", [
+        np.full((2, 2, 2), 2, dtype=np.uint8),
+        np.full((2, 2, 2), -1, dtype=np.int8),
+        np.full((2, 2, 2), 0.5, dtype=np.float32),
+        np.full((2, 2, 2), 2**16, dtype=np.uint32),
+    ], ids=["uint8-2", "int8-neg1", "float-half", "uint32-big"])
+    def test_mask_non_binary_rejected(self, data):
+        with pytest.raises(ValueError):
+            Volume(data, kind=Kind.MASK)
+
+    @pytest.mark.parametrize("data", [
+        np.array([[[True, False]]]),
+        np.array([[[0, 1]]], dtype=np.uint8),
+        np.array([[[0.0, 1.0]]], dtype=np.float32),
+        np.array([[[0, 1]]], dtype=np.int64),
+        np.zeros((0, 3, 3), dtype=np.uint8),
+        np.zeros((0, 3, 3), dtype=np.float32),
+    ], ids=["bool", "uint8", "float", "int64", "empty-uint8", "empty-float"])
+    def test_mask_binary_accepted(self, data):
+        assert Volume(data, kind=Kind.MASK).data is data
+
+    def test_label_dtypes(self):
+        Volume(np.full((2, 2, 2), 7, dtype=np.uint16), kind=Kind.LABEL)
+        Volume(np.zeros((0, 2, 2), dtype=np.int32), kind=Kind.LABEL)
+        with pytest.raises(ValueError):
+            Volume(np.full((2, 2, 2), -3, dtype=np.int16), kind=Kind.LABEL)
+        with pytest.raises(ValueError):
+            Volume(np.ones((2, 2, 2), dtype=np.float32), kind=Kind.LABEL)
+        with pytest.raises(ValueError):
+            Volume(np.ones((2, 2, 2), dtype=bool), kind=Kind.LABEL)
+
     def test_spacing_positive(self):
         with pytest.raises(ValueError):
             Volume(np.zeros((2, 2, 2)), spacing=(1, 0, 1))
