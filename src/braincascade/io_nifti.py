@@ -1,8 +1,9 @@
 """Minimal NIfTI-1 reader and writer.
 
-Supports single-file little-endian .nii (read also .nii.gz), 3D only, no
-extensions, datatypes uint8 / int16 / float32. Written headers are bit-exact
-per the NIfTI-1 layout: 348-byte header, 4 padding bytes, vox_offset 352.
+Supports single-file little-endian .nii (read also .nii.gz), 3D only (a 4D
+file with one time point reads as 3D), no extensions, datatypes uint8 /
+int16 / float32. Written headers are bit-exact per the NIfTI-1 layout:
+348-byte header, 4 padding bytes, vox_offset 352.
 
 On disk the first spatial dimension varies fastest (Fortran order, as per the
 format); in memory volumes keep the package convention of axis 0 slowest.
@@ -64,8 +65,10 @@ def read_nifti(path, kind: Kind = Kind.INTENSITY) -> Volume:
             raise NiftiError(f"{path}: sizeof_hdr={sizeof_hdr}, expected {HEADER_SIZE}")
         dim = struct.unpack_from("<8h", hdr, 40)
         ndim = dim[0]
+        if ndim == 4 and dim[4] == 1:  # one time point, common in scanner exports
+            ndim = 3
         if not 1 <= ndim <= 3:
-            raise NiftiError(f"{path}: only 3D volumes supported, dim[0]={ndim}")
+            raise NiftiError(f"{path}: only 3D volumes supported, dim[0]={dim[0]}")
         dims = tuple(dim[1 : ndim + 1]) + (1,) * (3 - ndim)
         if any(d <= 0 for d in dims):
             raise NiftiError(f"{path}: non-positive dims {dims}")

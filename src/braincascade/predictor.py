@@ -10,6 +10,8 @@ backends can look up ground truth at the right location.
 
 from __future__ import annotations
 
+import os
+import select
 import struct
 import subprocess
 import threading
@@ -180,7 +182,8 @@ class ExternalPredictor(Predictor):
     handshake magic "CPRD" + version u32 + window u32 in both directions
     (windows must match); then per request an origin (3 x i64) and w^3
     float32 intensities, answered by w^3 float32 probabilities. Both patches
-    travel in C order: the last axis varies fastest.
+    travel in C order: the last axis varies fastest. A reply that takes
+    longer than ``timeout`` seconds fails the request and kills the child.
     """
 
     def __init__(self, command: list[str], window: int, timeout: float = 30.0,
@@ -205,7 +208,7 @@ class ExternalPredictor(Predictor):
         self._proc.stdin.write(msg)
         self._proc.stdin.flush()
         reply = self._read_exact(12, context="handshake")
-        magic, version, window = reply[:4], *struct.unpack("<II", reply[4:])
+        magic, version, window = bytes(reply[:4]), *struct.unpack("<II", reply[4:])
         if magic != PROTOCOL_MAGIC:
             raise PredictorError(f"{self.id}: handshake magic {magic!r}")
         if version != PROTOCOL_VERSION:
@@ -215,19 +218,31 @@ class ExternalPredictor(Predictor):
                 f"{self.id}: server window {window} does not match stage window {self.window}"
             )
 
-    def _read_exact(self, n: int, context: str) -> bytes:
+    def _read_exact(self, n: int, context: str) -> bytearray:
+        """Read n bytes from the child's stdout, or fail once timeout passes.
+
+        Reads go to the raw fd, each after ``poll`` says it is readable, so a
+        silent child cannot block past the deadline and no byte is left in a
+        Python-side buffer.
+        """
         deadline = time.monotonic() + self.timeout
-        chunks = []
+        fd = self._proc.stdout.fileno()
+        poller = select.poll()
+        poller.register(fd, select.POLLIN)
+        buf = bytearray(n)
+        view = memoryview(buf)
         got = 0
         while got < n:
-            if time.monotonic() > deadline:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not poller.poll(remaining * 1000):
+                # kill it: a late reply would otherwise answer the next window
+                self._proc.kill()
                 raise PredictorError(f"{self.id}: timeout during {context}")
-            chunk = self._proc.stdout.read(n - got)
-            if not chunk:
+            k = os.readv(fd, [view[got:]])
+            if not k:
                 raise PredictorError(f"{self.id}: process closed stream during {context}")
-            chunks.append(chunk)
-            got += len(chunk)
-        return b"".join(chunks)
+            got += k
+        return buf
 
     def _predict(self, patch, origin):
         w = self.window

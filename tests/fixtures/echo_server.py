@@ -4,10 +4,12 @@ Usage: echo_server.py MODE [VALUE]
   constant   - reply to every request with a uniform probability patch
   window64   - advertise window 64 regardless of what the parent requests
   die        - exit right after a successful handshake
+  hang       - read the first request, then sleep without replying
 """
 
 import struct
 import sys
+import time
 
 MAGIC = b"CPRD"
 
@@ -38,6 +40,10 @@ def main():
         sys.exit(0)
 
     n = window ** 3
+    if mode == "hang":
+        read_exact(24 + 4 * n)
+        time.sleep(60)
+        sys.exit(0)
     reply = struct.pack(f"<{n}f", *([value] * n))
     while True:
         read_exact(24 + 4 * n)  # origin + patch

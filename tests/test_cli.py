@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import sys
@@ -142,6 +143,33 @@ class TestExtract:
         img_path, _ = phantom_files
         code = main(["extract", str(img_path), "--out", str(tmp_path / "o.nii")])
         assert code == 1
+
+    def test_native_grid_mask_digest(self, tmp_path):
+        """Pins the bytes of the mask `extract` writes for an anisotropic scan.
+
+        The scan and the ground truth are resampled to the 1 mm grid and the
+        mask back to the scan's grid, so any change to resampling, conforming
+        or the cascade that moves one voxel changes this digest.
+        """
+        spacing = (0.9, 2.5, 1.1)
+        dims = (86, 32, 72)
+        lm = synth.make_phantom_label_map(np.random.default_rng(31), dims)
+        img = Volume(lm.data.astype(np.float32) / 7.0, spacing, Kind.INTENSITY)
+        gt = Volume(synth.brain_mask(lm).data, spacing, Kind.MASK)
+        img_path, gt_path = tmp_path / "scan.nii", tmp_path / "gt.nii"
+        io_nifti.write_nifti(img, img_path, "float32")
+        io_nifti.write_nifti(gt, gt_path, "uint8")
+        out = tmp_path / "mask.nii"
+        code = main(["extract", str(img_path), "--config",
+                     str(oracle_config(tmp_path, gt_path)), "--gt", str(gt_path),
+                     "--out", str(out), "--side", "96"])
+        assert code == 0
+        mask = io_nifti.read_nifti(out, kind=Kind.MASK)
+        assert mask.dims == dims and mask.spacing == pytest.approx(spacing)
+        inter = (mask.data & gt.data).sum()
+        assert 2 * inter / (mask.data.sum() + gt.data.sum()) >= 0.98
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "8ff70b1d29de6cf146e089e68fa479cd5315a73fb9bae7b0a03564258ceaf55c")
 
 
 class TestSynth:

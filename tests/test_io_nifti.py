@@ -72,6 +72,23 @@ class TestRead:
         back = read_nifti(gz)
         np.testing.assert_array_equal(back.data, vol.data)
 
+    @pytest.mark.parametrize("ndim,nt", [(4, 1), (4, 2), (5, 1)])
+    def test_trailing_time_dim(self, tmp_path, rng, ndim, nt):
+        vol = Volume(rng.random((3, 4, 5)).astype(np.float32), (1.5, 2.0, 1.0))
+        path = tmp_path / "t.nii"
+        write_nifti(vol, path, "float32")
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<h", raw, 40, ndim)  # dim[0]
+        struct.pack_into("<h", raw, 48, nt)    # dim[4]
+        path.write_bytes(bytes(raw))
+        if (ndim, nt) == (4, 1):
+            back = read_nifti(path)
+            np.testing.assert_array_equal(back.data, vol.data)
+            assert back.spacing == vol.spacing
+        else:
+            with pytest.raises(NiftiError, match=rf"only 3D volumes supported, dim\[0\]={ndim}"):
+                read_nifti(path)
+
 
 class TestWrite:
     @pytest.mark.parametrize("datatype,maker", [

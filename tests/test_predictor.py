@@ -1,5 +1,6 @@
 import os
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -175,6 +176,19 @@ class TestExternal:
                 h.predict(zero_patch(8), (3, 4, 5))
         finally:
             h.close()
+
+    def test_hung_server_times_out(self):
+        h = make_external(self.server("hang"), 8, timeout=1.0)
+        try:
+            start = time.monotonic()
+            with pytest.raises(PredictorError, match=r"timeout.*\(3, 4, 5\)"):
+                h.predict(zero_patch(8), (3, 4, 5))
+            assert time.monotonic() - start < 3
+            # stopped at once, so no late reply can answer a later window
+            assert h._proc.wait(timeout=1) is not None
+        finally:
+            h.close()
+        assert h._proc.poll() is not None  # the hung process was reaped
 
     def test_unspawnable_command(self):
         with pytest.raises(PredictorError):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from braincascade.volume import (
     BoundingBox, Kind, Volume, conform_cube, extract_patch, minmax_normalize,
@@ -89,6 +90,72 @@ class TestResample:
             assert set(np.unique(back.data)) <= set(np.unique(labels))
 
 
+def map_coordinates_reference(vol, out_dims, target_spacing, interp):
+    """The whole-grid resampler the separable one replaced."""
+    axes = [
+        (np.arange(n) + 0.5) * t / s - 0.5
+        for n, t, s in zip(out_dims, target_spacing, vol.spacing)
+    ]
+    coords = np.meshgrid(*axes, indexing="ij")
+    order = 1 if interp == "linear" else 0
+    return ndimage.map_coordinates(
+        vol.data.astype(np.float32 if order else vol.data.dtype),
+        coords, order=order, mode="nearest",
+    )
+
+
+def random_grid(rng):
+    """Random dims (1-voxel axes included), spacing and target spacing."""
+    dims = tuple(int(d) for d in rng.choice([1, 2, 5, 12, 23], size=3))
+    spacing = tuple(float(s) for s in rng.uniform(0.4, 3.0, size=3))
+    target = tuple(float(t) for t in rng.choice([1.0, 0.6, 1.7, 2.5], size=3))
+    return dims, spacing, target
+
+
+class TestResampleReference:
+    """The separable resampler against `map_coordinates` on the same grids."""
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.float32])
+    def test_nearest_exact(self, rng, dtype):
+        for _ in range(20):
+            dims, spacing, target = random_grid(rng)
+            data = (rng.random(dims) * 200).astype(dtype)
+            vol = Volume(data, spacing, Kind.INTENSITY)
+            out = resample(vol, target, "nearest")
+            ref = map_coordinates_reference(vol, out.dims, target, "nearest")
+            assert out.data.dtype == ref.dtype == dtype
+            np.testing.assert_array_equal(out.data, ref)
+
+    def test_nearest_up_and_down(self, rng):
+        labels = rng.integers(0, 9, size=(17, 9, 30)).astype(np.int32)
+        vol = Volume(labels, (0.8, 2.6, 1.0), Kind.LABEL)
+        for target in [(1.0, 1.0, 1.0), (0.5, 0.5, 0.5), (2.0, 3.0, 1.5)]:
+            out = resample(vol, target, "nearest")
+            ref = map_coordinates_reference(vol, out.dims, target, "nearest")
+            np.testing.assert_array_equal(out.data, ref)
+
+    def test_linear_within_one_ulp(self, rng):
+        for _ in range(30):
+            dims, spacing, target = random_grid(rng)
+            vol = intensity(rng.standard_normal(dims) * 1000, spacing)
+            out = resample(vol, target, "linear")
+            ref = map_coordinates_reference(vol, out.dims, target, "linear")
+            assert out.data.dtype == ref.dtype == np.float32
+            np.testing.assert_array_max_ulp(out.data, ref, maxulp=1)
+
+    def test_linear_integer_input(self, rng):
+        vol = Volume(rng.integers(0, 300, size=(7, 12, 5)).astype(np.int32), (1.3, 0.7, 2.2))
+        out = resample(vol, (1.0, 1.0, 1.0), "linear")
+        ref = map_coordinates_reference(vol, out.dims, (1.0, 1.0, 1.0), "linear")
+        np.testing.assert_array_max_ulp(out.data, ref, maxulp=1)
+
+    def test_linear_constant_exact(self):
+        vol = intensity(np.full((6, 1, 9), 0.3), (2.5, 1.0, 0.7))
+        out = resample(vol, (1.0, 0.4, 1.0), "linear")
+        assert out.dims == (15, 3, 6)
+        assert (out.data == np.float32(0.3)).all()
+
+
 class TestConformCube:
     def test_identity(self, rng):
         vol = intensity(rng.random((192, 192, 192)))
@@ -138,6 +205,25 @@ class TestConformCube:
         assert back.dims == vol.dims
         # values that survived the crop/pad cycle are restored in place
         np.testing.assert_array_equal(back.data[:, 9:201, :], vol.data[:, 9:201, :])
+
+
+def test_conform_cube_matches_crop_and_pad(rng):
+    """The single-copy conform gives the bytes of a per-axis crop, then pad."""
+    side = 16
+    for dims in [(10, 30, 20), (17, 16, 3), (33, 1, 40), (16, 16, 16)]:
+        data = rng.integers(0, 256, size=dims).astype(np.uint8)
+        expected = data
+        for axis, d in enumerate(dims):
+            if d > side:
+                lo = (d - side) // 2
+                expected = np.take(expected, np.arange(lo, lo + side), axis=axis)
+            elif d < side:
+                pad = [(0, 0)] * 3
+                pad[axis] = ((side - d) // 2, side - d - (side - d) // 2)
+                expected = np.pad(expected, pad)
+        out = conform_cube(Volume(data, (1.0, 2.0, 0.5), Kind.LABEL), side)
+        assert out.data.dtype == np.uint8 and out.spacing == (1.0, 2.0, 0.5)
+        np.testing.assert_array_equal(out.data, expected)
 
 
 class TestExtractPatch:
