@@ -5,17 +5,17 @@ Localization scans the whole conformed volume with a coarse and a fine
 model, unions their supra-threshold probabilities, and fits a bounding box
 to the largest connected component. Refinement then runs progressively
 smaller-window sliding passes inside the shrinking region; each pass is
-thresholded, re-boxed, reconstructed to full size, and the final mask is
-the voxel-wise majority vote of the reconstructed stage masks.
+thresholded and re-boxed. The final mask is the voxel-wise majority vote of
+the stage masks, taken inside the first refinement region (every stage mask
+is zero outside it) and zero-padded to full size once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import morphology, windowing
 from . import volume as vol_ops
 from .morphology import (
     bounding_box, connected_components, largest_component, majority_vote, threshold,
@@ -96,9 +96,14 @@ def reconstruct_full(s: Volume, r: BoundingBox, dims) -> Volume:
         raise ValueError(f"mask dims {s.dims} != region shape {r.shape}")
     if any(a < 0 for a in r.mins) or any(b > d for b, d in zip(r.maxs, dims)):
         raise ValueError(f"region {r.mins}-{r.maxs} outside dims {dims}")
-    out = np.zeros(dims, dtype=s.data.dtype)
-    out[r.slices()] = s.data
-    return Volume(out, s.spacing, s.kind)
+    return Volume(vol_ops.read_box(s.data, tuple(-a for a in r.mins), dims), s.spacing, s.kind)
+
+
+def _run_stage(vol: Volume, region: BoundingBox, stage: StageSpec,
+               mode: str, threads: int) -> Volume:
+    """Accumulate one stage's windows over a region, snapped into the volume."""
+    plan = snap_plan_into(plan_windows(region, stage.window, stage.step), vol.dims)
+    return run_windows(vol, plan, stage.predictor, mode=mode, threads=threads)
 
 
 def bfs_localize(vol: Volume, config: CascadeConfig):
@@ -110,10 +115,7 @@ def bfs_localize(vol: Volume, config: CascadeConfig):
     full = BoundingBox.full(vol.dims)
     combined = None
     for stage in config.bfs_stages:
-        plan = plan_windows(full, stage.window, stage.step)
-        plan = snap_plan_into(plan, vol.dims)
-        p = run_windows(vol, plan, stage.predictor,
-                        mode=config.accumulate_mode, threads=config.threads)
+        p = _run_stage(vol, full, stage, config.accumulate_mode, config.threads)
         above = p.data > config.bfs_threshold
         if combined is None:
             combined = above
@@ -141,10 +143,7 @@ def dfs_refine(vol: Volume, region: BoundingBox, config: CascadeConfig) -> Extra
     full_masks: list[Volume] = []
     r = region
     for stage in config.dfs_stages:
-        plan = plan_windows(r, stage.window, stage.step)
-        plan = snap_plan_into(plan, vol.dims)
-        p = run_windows(vol, plan, stage.predictor,
-                        mode=config.accumulate_mode, threads=config.threads)
+        p = _run_stage(vol, r, stage, config.accumulate_mode, config.threads)
         s = threshold(p, config.alpha)
         comps = connected_components(s, config.connectivity)
         if not comps.sizes:
@@ -201,19 +200,23 @@ def single_pass_extract(vol: Volume, stage: StageSpec, alpha: float = 0.2,
                         mode: str = "sum", threads: int = 1) -> Volume:
     """One sliding pass over the full volume, thresholded; the non-cascaded
     comparison arm."""
-    plan = plan_windows(BoundingBox.full(vol.dims), stage.window, stage.step)
-    plan = snap_plan_into(plan, vol.dims)
-    p = run_windows(vol, plan, stage.predictor, mode=mode, threads=threads)
-    return threshold(p, alpha)
+    return threshold(_run_stage(vol, BoundingBox.full(vol.dims), stage, mode, threads), alpha)
 
 
 # -- configuration -----------------------------------------------------------
 
 CONFIG_SCHEMA_VERSION = 1
+# noisy-oracle model seed of each model letter: stages of one model share
+# a noise stream, different models draw independent ones
+MODEL_SEEDS = {"A": 1, "B": 2, "C": 3, "D": 4}
+_NOISE_KEYS = tuple(f.name for f in fields(NoiseSpec))
+_CONFIG_KEYS = ("alpha", "bfs_threshold", "accumulate_mode", "bfs_combine", "connectivity")
 
 
-def _build_predictor(spec: dict, window: int, name: str, gt: Volume | None,
-                     master_seed: int) -> Predictor:
+def _build_predictor(spec: dict, window: int, name: str, model: str,
+                     gt: Volume | None, master_seed: int) -> Predictor:
+    """One stage's predictor; ``model`` is its model letter or, lacking one,
+    its name, and picks the noisy oracle's default model seed."""
     backend = spec.get("backend", "constant")
     if backend == "oracle":
         if gt is None:
@@ -222,19 +225,15 @@ def _build_predictor(spec: dict, window: int, name: str, gt: Volume | None,
     if backend == "noisy_oracle":
         if gt is None:
             raise ValueError(f"stage {name}: noisy_oracle backend needs ground truth")
-        noise = NoiseSpec(
-            fp_blob_rate=spec.get("fp_blob_rate", 0.0),
-            fp_blob_radius=tuple(spec.get("fp_blob_radius", (3.0, 3.0))),
-            fn_hole_rate=spec.get("fn_hole_rate", 0.0),
-            per_voxel_fp=spec.get("per_voxel_fp", 0.0),
-            seed_offset=spec.get("seed_offset", 0),
-        )
+        noise = NoiseSpec(**{k: spec[k] for k in _NOISE_KEYS if k in spec})
         return NoisyOraclePredictor(gt, window, noise,
-                                    model_seed=spec.get("model_seed", 0),
+                                    model_seed=spec.get("model_seed", MODEL_SEEDS.get(model, 0)),
                                     master_seed=master_seed, id=name)
     if backend == "constant":
         return ConstantPredictor(spec.get("value", 0.0), window, id=name)
     if backend == "external":
+        if "command" not in spec:
+            raise ValueError(f"stage {name}: external backend needs a command")
         return ExternalPredictor(list(spec["command"]), window,
                                  timeout=spec.get("timeout", 30.0), id=name)
     raise ValueError(f"stage {name}: unknown backend {backend!r}")
@@ -242,7 +241,10 @@ def _build_predictor(spec: dict, window: int, name: str, gt: Volume | None,
 
 def config_from_dict(d: dict, gt: Volume | None = None,
                      master_seed: int = 0, threads: int = 1) -> CascadeConfig:
-    """Build a runnable configuration from the JSON config schema."""
+    """Build a runnable configuration from the JSON config schema.
+
+    Stages default to the paper's roster: localization A+D, refinement B,C,D.
+    """
     version = d.get("schema_version", CONFIG_SCHEMA_VERSION)
     if version != CONFIG_SCHEMA_VERSION:
         raise ValueError(f"unsupported config schema version {version}")
@@ -255,13 +257,16 @@ def config_from_dict(d: dict, gt: Volume | None = None,
         out = []
         for s in specs:
             model = s.get("model")
+            if model is not None and model not in MODEL_PARAMS:
+                raise ValueError(f"stage in {key}: unknown model {model!r}, "
+                                 f"expected one of {' '.join(MODEL_PARAMS)}")
             window = s.get("window", MODEL_PARAMS[model].window if model else None)
             step = s.get("step", MODEL_STEPS[model] if model else None)
             if window is None or step is None:
                 raise ValueError(f"stage in {key} needs a model letter or window+step")
             name = s.get("name", model or f"w{window}")
             backend = s.get("predictor", d.get("predictor", {"backend": "constant"}))
-            pred = _build_predictor(backend, window, name, gt, master_seed)
+            pred = _build_predictor(backend, window, name, model or name, gt, master_seed)
             built.append(pred)
             out.append(StageSpec(name, pred, window, step))
         return out
@@ -270,12 +275,8 @@ def config_from_dict(d: dict, gt: Volume | None = None,
         return CascadeConfig(
             bfs_stages=stages("bfs_stages", ["A", "D"]),
             dfs_stages=stages("dfs_stages", ["B", "C", "D"]),
-            alpha=d.get("alpha", 0.2),
-            bfs_threshold=d.get("bfs_threshold", 0.0),
-            accumulate_mode=d.get("accumulate_mode", "sum"),
-            bfs_combine=d.get("bfs_combine", "union"),
-            connectivity=d.get("connectivity", 26),
             threads=threads,
+            **{k: d[k] for k in _CONFIG_KEYS if k in d},
         )
     except BaseException:
         for pred in built:
@@ -284,36 +285,16 @@ def config_from_dict(d: dict, gt: Volume | None = None,
 
 
 def default_oracle_config(gt: Volume, threads: int = 1, **overrides) -> CascadeConfig:
-    """Default model roster (localization A+D, refinement B,C,D) with perfect
-    oracles for the given ground truth."""
-    def stage(model):
-        w = MODEL_PARAMS[model].window
-        return StageSpec(model, OraclePredictor(gt, w, id=model), w, MODEL_STEPS[model])
-
-    kwargs = dict(
-        bfs_stages=[stage("A"), stage("D")],
-        dfs_stages=[stage("B"), stage("C"), stage("D")],
-        threads=threads,
-    )
-    kwargs.update(overrides)
-    return CascadeConfig(**kwargs)
+    """Default roster with perfect oracles for the given ground truth;
+    overrides are top-level config keys."""
+    return config_from_dict({"predictor": {"backend": "oracle"}, **overrides},
+                            gt=gt, threads=threads)
 
 
 def default_noisy_config(gt: Volume, noise: NoiseSpec, master_seed: int = 0,
                          threads: int = 1, **overrides) -> CascadeConfig:
-    """Default roster with independently seeded noisy oracles per model."""
-    model_seeds = {"A": 1, "B": 2, "C": 3, "D": 4}
-
-    def stage(model):
-        w = MODEL_PARAMS[model].window
-        pred = NoisyOraclePredictor(gt, w, noise, model_seed=model_seeds[model],
-                                    master_seed=master_seed, id=model)
-        return StageSpec(model, pred, w, MODEL_STEPS[model])
-
-    kwargs = dict(
-        bfs_stages=[stage("A"), stage("D")],
-        dfs_stages=[stage("B"), stage("C"), stage("D")],
-        threads=threads,
-    )
-    kwargs.update(overrides)
-    return CascadeConfig(**kwargs)
+    """Default roster with noisy oracles seeded per model letter (MODEL_SEEDS);
+    overrides are top-level config keys."""
+    return config_from_dict({"predictor": {"backend": "noisy_oracle", **asdict(noise)},
+                             **overrides},
+                            gt=gt, master_seed=master_seed, threads=threads)

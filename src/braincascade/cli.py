@@ -54,6 +54,14 @@ def _load_json(path):
         return json.load(f)
 
 
+def _from_json(cls, d: dict, what: str):
+    """Build a dataclass from JSON keys; a wrong key is a ValueError naming it."""
+    try:
+        return cls(**d)
+    except TypeError as e:
+        raise ValueError(f"{what}: {e}") from e
+
+
 def _substream(master_seed: int, label: str, *extra) -> np.random.Generator:
     """Derive a labeled child generator from the master seed."""
     digest = int.from_bytes(label.encode(), "big") % (1 << 63)
@@ -129,7 +137,7 @@ def cmd_synth(args) -> int:
             return _fail(f"unknown model {args.model!r}, expected one of A B C D")
         params = MODEL_PARAMS[args.model]
     elif args.params:
-        params = synth.SynthesisParams(**_load_json(args.params))
+        params = _from_json(synth.SynthesisParams, _load_json(args.params), args.params)
     else:
         return _fail("one of --model or --params is required")
 
@@ -196,9 +204,7 @@ def cmd_simulate(args) -> int:
         spec_dict = json.loads(args.noise_spec)
     else:
         spec_dict = {}
-    if "fp_blob_radius" in spec_dict:
-        spec_dict["fp_blob_radius"] = tuple(spec_dict["fp_blob_radius"])
-    noise = NoiseSpec(**spec_dict)
+    noise = _from_json(NoiseSpec, spec_dict, "--noise-spec")
 
     rows = []
     for k in range(args.seeds):
@@ -210,11 +216,10 @@ def cmd_simulate(args) -> int:
         master = args.seed * 10_000 + k
         config = cascade.default_noisy_config(gt, noise, master_seed=master,
                                               threads=args.threads)
-        box, status = cascade.bfs_localize(intensity, config)
-        if status != cascade.STATUS_OK:
+        result = cascade.extract_brain(intensity, config)
+        if not result.roi_trace:  # the breadth pass found nothing
             rows.append((k, 0.0, 0.0, float("nan")))
             continue
-        result = cascade.dfs_refine(intensity, box, config)
         cascade_dice = metrics.dice(result.mask, gt)
 
         single_stage = next(s for s in config.bfs_stages if s.name == "A")
@@ -222,7 +227,7 @@ def cmd_simulate(args) -> int:
                                      threads=args.threads)
         single_dice = metrics.dice(single, gt)
 
-        final_roi = result.roi_trace[-1][1] if result.roi_trace else box
+        final_roi = result.roi_trace[-1][1]
         roi_pred = result.mask.data[final_roi.slices()]
         roi_gt = gt.data[final_roi.slices()]
         neg = roi_gt == 0

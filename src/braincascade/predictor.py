@@ -1,8 +1,9 @@
 """Predictor backends mapping a cubic intensity patch to a probability patch.
 
-Three backends share one interface: a ground-truth oracle, a noisy oracle
-that corrupts the oracle output with seeded false positives and deletion
-holes, and an external subprocess speaking a little-endian binary protocol.
+Four backends share one interface: a constant map, a ground-truth oracle, a
+noisy oracle that corrupts the oracle output with seeded false positives and
+deletion holes, and an external subprocess speaking a little-endian binary
+protocol.
 
 Predictors receive the patch origin alongside the intensities so oracle
 backends can look up ground truth at the right location.
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import Kind, Volume
+from .volume import Kind, Volume, read_box
 
 PROTOCOL_MAGIC = b"CPRD"
 PROTOCOL_VERSION = 1
@@ -46,6 +47,7 @@ class NoiseSpec:
     seed_offset: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "fp_blob_radius", tuple(self.fp_blob_radius))
         if self.fp_blob_rate < 0 or self.fn_hole_rate < 0 or self.per_voxel_fp < 0:
             raise ValueError("noise rates must be non-negative")
         if not self.per_voxel_fp < 1:
@@ -88,21 +90,6 @@ class ConstantPredictor(Predictor):
         return np.full(patch.dims, self.value, dtype=np.float32)
 
 
-def _gt_patch(gt: np.ndarray, origin, w: int) -> np.ndarray:
-    mins = tuple(int(o) for o in origin)
-    maxs = tuple(o + w for o in mins)
-    out = np.zeros((w, w, w), dtype=np.float32)
-    src, dst = [], []
-    for a, b, d in zip(mins, maxs, gt.shape):
-        lo, hi = max(a, 0), min(b, d)
-        if lo >= hi:
-            return out
-        src.append(slice(lo, hi))
-        dst.append(slice(lo - a, hi - a))
-    out[tuple(dst)] = gt[tuple(src)]
-    return out
-
-
 class OraclePredictor(Predictor):
     """Perfect predictor returning the ground-truth mask inside the patch."""
 
@@ -113,7 +100,7 @@ class OraclePredictor(Predictor):
         self.gt = gt
 
     def _predict(self, patch, origin):
-        return _gt_patch(self.gt.data, origin, self.window)
+        return read_box(self.gt.data, origin, (self.window,) * 3, np.float32)
 
 
 class NoisyOraclePredictor(Predictor):
@@ -165,11 +152,12 @@ class NoisyOraclePredictor(Predictor):
             region[d2 <= r * r] = value
 
     def _predict(self, patch, origin):
-        out = _gt_patch(self.gt.data, origin, self.window)
+        shape = (self.window,) * 3
+        out = read_box(self.gt.data, origin, shape, np.float32)
         if self.noise.fp_blob_rate > 0:
             self._spheres(out, origin, self.noise.fp_blob_rate, 0xB10B, 1.0)
         if self._flips is not None:
-            out = np.maximum(out, _gt_patch(self._flips, origin, self.window))
+            out = np.maximum(out, read_box(self._flips, origin, shape, np.float32))
         if self.noise.fn_hole_rate > 0:
             self._spheres(out, origin, self.noise.fn_hole_rate, 0x401E, 0.0)
         return out
@@ -266,16 +254,3 @@ class ExternalPredictor(Predictor):
             except subprocess.TimeoutExpired:
                 self._proc.kill()
                 self._proc.wait()
-
-
-def make_oracle(gt: Volume, w: int, id: str = "oracle") -> OraclePredictor:
-    return OraclePredictor(gt, w, id=id)
-
-
-def make_noisy_oracle(gt: Volume, w: int, noise: NoiseSpec, model_seed: int,
-                      master_seed: int = 0) -> NoisyOraclePredictor:
-    return NoisyOraclePredictor(gt, w, noise, model_seed, master_seed)
-
-
-def make_external(command: list[str], w: int, timeout: float = 30.0) -> ExternalPredictor:
-    return ExternalPredictor(command, w, timeout)

@@ -263,20 +263,7 @@ def center_brain(lm: Volume, window: int) -> Volume:
         return vol_ops.conform_cube(lm, window)
     centroid = np.array(ndimage.center_of_mass(brain))
     mins = np.round(centroid - window / 2.0).astype(int)
-    return _crop_window(lm, mins, window)
-
-
-def _crop_window(lm: Volume, mins, window: int) -> Volume:
-    out = np.zeros((window,) * 3, dtype=lm.data.dtype)
-    src, dst = [], []
-    for a, d in zip(mins, lm.dims):
-        lo, hi = max(int(a), 0), min(int(a) + window, d)
-        if lo >= hi:
-            return Volume(out, lm.spacing, Kind.LABEL)
-        src.append(slice(lo, hi))
-        dst.append(slice(lo - int(a), hi - int(a)))
-    out[tuple(dst)] = lm.data[tuple(src)]
-    return Volume(out, lm.spacing, Kind.LABEL)
+    return Volume(vol_ops.read_box(lm.data, mins, (window,) * 3), lm.spacing, Kind.LABEL)
 
 
 def make_training_pair(lm: Volume, p: SynthesisParams,

@@ -94,9 +94,6 @@ class BoundingBox:
     def slices(self) -> tuple[slice, slice, slice]:
         return tuple(slice(a, b) for a, b in zip(self.mins, self.maxs))
 
-    def intersects(self, dims: tuple[int, int, int]) -> bool:
-        return all(a < d and b > 0 for a, b, d in zip(self.mins, self.maxs, dims))
-
     @staticmethod
     def full(dims: tuple[int, int, int]) -> "BoundingBox":
         return BoundingBox((0, 0, 0), tuple(dims))
@@ -157,19 +154,34 @@ def _resample_to(vol: Volume, out_dims, target_spacing, interp: str) -> Volume:
     return Volume(out, tuple(target_spacing), vol.kind)
 
 
-def _cube_slices(dims, side: int):
-    """Per-axis (native, cube) slices of the region conform_cube keeps."""
-    native, cube = [], []
-    for d in dims:
-        if d > side:
-            lo = (d - side) // 2
-            native.append(slice(lo, lo + side))
-            cube.append(slice(0, side))
-        else:
-            lo = (side - d) // 2
-            native.append(slice(0, d))
-            cube.append(slice(lo, lo + d))
-    return tuple(native), tuple(cube)
+def overlap_slices(mins, shape, dims):
+    """Where a box meets an array: (array slices, box slices), or None.
+
+    The box has corner ``mins`` and extent ``shape`` in the array's index
+    space; ``mins`` may be negative or past the edge.
+    """
+    src, dst = [], []
+    for a, n, d in zip(mins, shape, dims):
+        lo, hi = max(a, 0), min(a + n, d)
+        if lo >= hi:
+            return None
+        src.append(slice(lo, hi))
+        dst.append(slice(lo - a, hi - a))
+    return tuple(src), tuple(dst)
+
+
+def read_box(data: np.ndarray, mins, shape, dtype=None) -> np.ndarray:
+    """Copy a box out of an array, reading voxels outside the array as zero."""
+    out = np.zeros(tuple(shape), dtype=data.dtype if dtype is None else dtype)
+    overlap = overlap_slices(mins, shape, data.shape)
+    if overlap is not None:
+        out[overlap[1]] = data[overlap[0]]
+    return out
+
+
+def _cube_mins(dims, side: int) -> tuple:
+    """Corner, on the native grid, of the cube conform_cube keeps."""
+    return tuple((d - side) // 2 if d > side else -((side - d) // 2) for d in dims)
 
 
 def conform_cube(vol: Volume, side: int) -> Volume:
@@ -182,10 +194,8 @@ def conform_cube(vol: Volume, side: int) -> Volume:
         raise ValueError("cube side must be positive")
     if vol.dims == (side,) * 3:
         return vol
-    out = np.zeros((side,) * 3, dtype=vol.data.dtype)
-    native, cube = _cube_slices(vol.dims, side)
-    out[cube] = vol.data[native]
-    return Volume(out, vol.spacing, vol.kind)
+    return Volume(read_box(vol.data, _cube_mins(vol.dims, side), (side,) * 3),
+                  vol.spacing, vol.kind)
 
 
 def unconform_cube(vol: Volume, original_dims) -> Volume:
@@ -193,37 +203,8 @@ def unconform_cube(vol: Volume, original_dims) -> Volume:
 
     Voxels that were cropped away come back as zeros.
     """
-    out = np.zeros(tuple(original_dims), dtype=vol.data.dtype)
-    native, cube = _cube_slices(original_dims, vol.dims[0])
-    out[native] = vol.data[cube]
-    return Volume(out, vol.spacing, vol.kind)
-
-
-def extract_patch(vol: Volume, box: BoundingBox, pad_to=None) -> Volume:
-    """Extract the voxels inside a box, reading out-of-bounds regions as zero.
-
-    With ``pad_to``, the result is additionally zero-padded symmetrically
-    (extra voxel on the high side) to the requested dims.
-    """
-    if not box.intersects(vol.dims):
-        raise ValueError(f"box {box.mins}-{box.maxs} does not intersect volume dims {vol.dims}")
-    out = np.zeros(box.shape, dtype=vol.data.dtype)
-    src = []
-    dst = []
-    for a, b, d in zip(box.mins, box.maxs, vol.dims):
-        lo, hi = max(a, 0), min(b, d)
-        src.append(slice(lo, hi))
-        dst.append(slice(lo - a, hi - a))
-    out[tuple(dst)] = vol.data[tuple(src)]
-    if pad_to is not None:
-        pad = []
-        for cur, tgt in zip(out.shape, pad_to):
-            if cur > tgt:
-                raise ValueError(f"pad_to {tuple(pad_to)} smaller than box shape {out.shape}")
-            lo = (tgt - cur) // 2
-            pad.append((lo, tgt - cur - lo))
-        out = np.pad(out, pad)
-    return Volume(out, vol.spacing, vol.kind)
+    mins = tuple(-m for m in _cube_mins(original_dims, vol.dims[0]))
+    return Volume(read_box(vol.data, mins, original_dims), vol.spacing, vol.kind)
 
 
 def minmax_normalize(vol: Volume) -> Volume:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .predictor import Predictor
-from .volume import BoundingBox, Kind, Volume
+from .volume import BoundingBox, Kind, Volume, overlap_slices, read_box
 
 
 class WindowError(Exception):
@@ -78,16 +78,18 @@ def snap_plan_into(plan: WindowPlan, dims) -> WindowPlan:
 def coverage_counts(plan: WindowPlan) -> Volume:
     """Number of windows covering each voxel of the region."""
     counts = np.zeros(plan.region.shape, dtype=np.int32)
-    w = plan.window
-    rmin, rmax = plan.region.mins, plan.region.maxs
-    for o in plan.origins:
-        sl = tuple(
-            slice(max(a, lo) - lo, min(a + w, hi) - lo)
-            for a, lo, hi in zip(o, rmin, rmax)
-        )
-        if all(s.start < s.stop for s in sl):
-            counts[sl] += 1
+    for overlap in _region_overlaps(plan):
+        if overlap is not None:
+            counts[overlap[0]] += 1
     return Volume(counts, (1.0, 1.0, 1.0), Kind.LABEL)
+
+
+def _region_overlaps(plan: WindowPlan):
+    """Per origin, overlap_slices of its window with the plan's region."""
+    shape = (plan.window,) * 3
+    for o in plan.origins:
+        mins = tuple(a - lo for a, lo in zip(o, plan.region.mins))
+        yield overlap_slices(mins, shape, plan.region.shape)
 
 
 def run_windows(vol: Volume, plan: WindowPlan, predictor: Predictor,
@@ -106,11 +108,10 @@ def run_windows(vol: Volume, plan: WindowPlan, predictor: Predictor,
         raise ValueError(
             f"predictor window {predictor.window} != plan window {plan.window}"
         )
-    w = plan.window
-    rmin, rmax = plan.region.mins, plan.region.maxs
+    shape = (plan.window,) * 3
 
     def one(origin):
-        patch = _extract_window(vol, origin, w)
+        patch = Volume(read_box(vol.data, origin, shape, np.float32), vol.spacing, vol.kind)
         try:
             return predictor.predict(patch, origin)
         except Exception as e:
@@ -124,33 +125,11 @@ def run_windows(vol: Volume, plan: WindowPlan, predictor: Predictor,
         results = [one(o) for o in origins]
 
     acc = np.zeros(plan.region.shape, dtype=np.float32)
-    for origin, pred in zip(origins, results):
-        dst = []
-        src = []
-        for a, lo, hi in zip(origin, rmin, rmax):
-            s0, s1 = max(a, lo), min(a + w, hi)
-            dst.append(slice(s0 - lo, s1 - lo))
-            src.append(slice(s0 - a, s1 - a))
-        if all(s.start < s.stop for s in dst):
-            acc[tuple(dst)] += pred.data[tuple(src)]
+    for overlap, pred in zip(_region_overlaps(plan), results):
+        if overlap is not None:
+            acc[overlap[0]] += pred.data[overlap[1]]
 
     if mode == "mean":
         counts = coverage_counts(plan).data
         acc = np.divide(acc, counts, out=np.zeros_like(acc), where=counts > 0)
     return Volume(acc, vol.spacing, Kind.PROBABILITY)
-
-
-def _extract_window(vol: Volume, origin, w: int) -> Volume:
-    out = np.zeros((w, w, w), dtype=np.float32)
-    src, dst = [], []
-    inside = True
-    for a, d in zip(origin, vol.dims):
-        lo, hi = max(a, 0), min(a + w, d)
-        if lo >= hi:
-            inside = False
-            break
-        src.append(slice(lo, hi))
-        dst.append(slice(lo - a, hi - a))
-    if inside:
-        out[tuple(dst)] = vol.data[tuple(src)]
-    return Volume(out, vol.spacing, vol.kind)

@@ -230,6 +230,19 @@ class TestMaskDigests:
         assert self.digest(result) == (
             "c89edc537e16f708248b99e2af6ed40d364e24009ef2819309320c2be5abbe7d")
 
+    def test_default_noisy_roster(self):
+        """The default A+D / B,C,D roster as default_noisy_config builds it."""
+        img, gt = phantom_case(23, (96, 96, 96))
+        noise = NoiseSpec(per_voxel_fp=0.05, fp_blob_rate=1.0, fn_hole_rate=0.5,
+                          fp_blob_radius=(2.0, 5.0))
+        result = extract_brain(img, default_noisy_config(gt, noise, master_seed=5),
+                               conform_side=96)
+        assert result.status == STATUS_OK
+        # the region really shrinks, so every stage's box enters the vote
+        assert result.roi_trace[-1][1].volume < result.roi_trace[0][1].volume
+        assert self.digest(result) == (
+            "ba88908a3675c6c413c36250d5f30db6b3c8bdf165d0568d16e4f1c96eeb52e2")
+
 
 class TestConfig:
     def test_decreasing_windows_enforced(self):
@@ -255,6 +268,33 @@ class TestConfig:
         assert [s.step for s in config.bfs_stages] == [64, 32]
         assert config.alpha == 0.2
         assert config.bfs_threshold == 0.0
+
+    def test_from_dict_noisy_oracle_seeds_per_model(self):
+        gt = mask(np.zeros((32, 32, 32)))
+        config = config_from_dict(
+            {"predictor": {"backend": "noisy_oracle", "per_voxel_fp": 0.1}}, gt=gt)
+        bfs = {s.name: s.predictor for s in config.bfs_stages}
+        dfs = {s.name: s.predictor for s in config.dfs_stages}
+        # each model letter draws its own flip field; both D stages share one
+        assert not np.array_equal(dfs["B"]._flips, dfs["C"]._flips)
+        np.testing.assert_array_equal(bfs["D"]._flips, dfs["D"]._flips)
+        assert [bfs[m].model_seed for m in "AD"] == [1, 4]
+        assert [dfs[m].model_seed for m in "BCD"] == [2, 3, 4]
+        # a stage without a model letter is seeded by its name
+        config = config_from_dict({
+            "predictor": {"backend": "noisy_oracle"},
+            "bfs_stages": [{"name": "A", "window": 32, "step": 32}],
+            "dfs_stages": [{"name": "C", "window": 16, "step": 16},
+                           {"name": "other", "window": 8, "step": 8}],
+        }, gt=gt)
+        assert [s.predictor.model_seed
+                for s in config.bfs_stages + config.dfs_stages] == [1, 3, 0]
+
+    def test_from_dict_explicit_model_seed_wins(self):
+        gt = mask(np.zeros((32, 32, 32)))
+        config = config_from_dict(
+            {"predictor": {"backend": "noisy_oracle", "model_seed": 9}}, gt=gt)
+        assert {s.predictor.model_seed for s in config.bfs_stages + config.dfs_stages} == {9}
 
     def test_from_dict_unknown_backend(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -172,6 +173,48 @@ class TestExtract:
             "8ff70b1d29de6cf146e089e68fa479cd5315a73fb9bae7b0a03564258ceaf55c")
 
 
+class TestConfigErrors:
+    """Bad config input ends in one `error:` line naming the culprit, exit 1."""
+
+    @staticmethod
+    def one_line_error(capsys, *names):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        for name in names:
+            assert name in err
+
+    def extract(self, tmp_path, phantom_files, cfg):
+        img_path, _ = phantom_files
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        return main(["extract", str(img_path), "--config", str(path),
+                     "--out", str(tmp_path / "o.nii")])
+
+    def test_unknown_model_letter(self, tmp_path, phantom_files, capsys):
+        code = self.extract(tmp_path, phantom_files, {"bfs_stages": [{"model": "Z"}]})
+        assert code == 1
+        self.one_line_error(capsys, "bfs_stages", "'Z'")
+
+    def test_external_without_command(self, tmp_path, phantom_files, capsys):
+        code = self.extract(tmp_path, phantom_files, {"predictor": {"backend": "external"}})
+        assert code == 1
+        self.one_line_error(capsys, "stage A", "command")
+
+    def test_unknown_noise_key(self, capsys):
+        code = main(["simulate", "--seeds", "1", "--noise-spec", '{"bogus": 1}'])
+        assert code == 1
+        self.one_line_error(capsys, "bogus")
+
+    def test_unknown_synth_param(self, tmp_path, capsys):
+        params = dict(dataclasses.asdict(synth.MODEL_PARAMS["D"]), bogus=1)
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        code = main(["synth", "--params", str(path), "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        self.one_line_error(capsys, "bogus")
+
+
 class TestSynth:
     def test_model_d_output(self, tmp_path):
         outdir = tmp_path / "pairs"
@@ -260,6 +303,16 @@ class TestSimulate:
                   "--report", str(tmp_path / name)])
             outs.append((tmp_path / f"{name}.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_pinned_csv(self, tmp_path, capsys):
+        """Pins the per-seed figures of one noisy simulate run to the digit."""
+        code = main(["simulate", "--seeds", "1", "--seed", "4",
+                     "--noise-spec", '{"per_voxel_fp": 0.05, "fp_blob_rate": 0.5}',
+                     "--report", str(tmp_path / "rep")])
+        assert code == 0
+        assert (tmp_path / "rep.csv").read_text() == (
+            "seed,cascade_dice,single_dice,cascade_fp_rate\n"
+            "0,0.994226,0.512074,0.007744\n")
 
 
 class TestPlan:

@@ -7,7 +7,7 @@ import pytest
 
 from braincascade.predictor import (
     ConstantPredictor, ExternalPredictor, NoiseSpec, NoisyOraclePredictor,
-    OraclePredictor, PredictorError, make_external, make_noisy_oracle, make_oracle,
+    OraclePredictor, PredictorError,
 )
 from braincascade.volume import Kind, Volume
 from conftest import intensity, mask, random_mask
@@ -22,28 +22,28 @@ def zero_patch(w):
 class TestOracle:
     def test_returns_gt_at_origin(self, rng):
         gt = random_mask(rng, (64, 64, 64))
-        h = make_oracle(gt, 32)
+        h = OraclePredictor(gt, 32)
         out = h.predict(zero_patch(32), (16, 8, 0))
         np.testing.assert_array_equal(out.data, gt.data[16:48, 8:40, 0:32])
 
     def test_brain_patch_all_ones(self):
         gt = mask(np.ones((32, 32, 32)))
-        out = make_oracle(gt, 16).predict(zero_patch(16), (8, 8, 8))
+        out = OraclePredictor(gt, 16).predict(zero_patch(16), (8, 8, 8))
         assert (out.data == 1.0).all()
 
     def test_background_patch_all_zeros(self):
         gt = mask(np.zeros((32, 32, 32)))
-        out = make_oracle(gt, 16).predict(zero_patch(16), (0, 0, 0))
+        out = OraclePredictor(gt, 16).predict(zero_patch(16), (0, 0, 0))
         assert (out.data == 0.0).all()
 
     def test_out_of_bounds_reads_zero(self):
         gt = mask(np.ones((32, 32, 32)))
-        out = make_oracle(gt, 16).predict(zero_patch(16), (24, 24, 24))
+        out = OraclePredictor(gt, 16).predict(zero_patch(16), (24, 24, 24))
         assert out.data[:8, :8, :8].all()
         assert not out.data[8:, :, :].any()
 
     def test_wrong_patch_dims_rejected(self):
-        h = make_oracle(mask(np.zeros((32, 32, 32))), 16)
+        h = OraclePredictor(mask(np.zeros((32, 32, 32))), 16)
         with pytest.raises(PredictorError):
             h.predict(zero_patch(8), (0, 0, 0))
 
@@ -51,8 +51,8 @@ class TestOracle:
 class TestNoisyOracle:
     def test_zero_noise_equals_oracle(self, rng):
         gt = random_mask(rng, (64, 64, 64))
-        clean = make_oracle(gt, 32)
-        noisy = make_noisy_oracle(gt, 32, NoiseSpec(), model_seed=5)
+        clean = OraclePredictor(gt, 32)
+        noisy = NoisyOraclePredictor(gt, 32, NoiseSpec(), model_seed=5)
         for origin in [(0, 0, 0), (16, 16, 16), (40, 0, 8)]:
             np.testing.assert_array_equal(
                 noisy.predict(zero_patch(32), origin).data,
@@ -62,7 +62,7 @@ class TestNoisyOracle:
     def test_per_voxel_fp_binomial(self):
         gt = mask(np.zeros((32, 32, 32)))
         p = 0.1
-        h = make_noisy_oracle(gt, 32, NoiseSpec(per_voxel_fp=p), model_seed=1)
+        h = NoisyOraclePredictor(gt, 32, NoiseSpec(per_voxel_fp=p), model_seed=1)
         out = h.predict(zero_patch(32), (0, 0, 0))
         n = 32 ** 3
         count = int((out.data > 0).sum())
@@ -72,7 +72,7 @@ class TestNoisyOracle:
     def test_deterministic_per_window(self, rng):
         gt = random_mask(rng, (64, 64, 64))
         spec = NoiseSpec(per_voxel_fp=0.05, fp_blob_rate=1.0, fn_hole_rate=0.5)
-        h = make_noisy_oracle(gt, 32, spec, model_seed=2, master_seed=9)
+        h = NoisyOraclePredictor(gt, 32, spec, model_seed=2, master_seed=9)
         a = h.predict(zero_patch(32), (8, 8, 8))
         b = h.predict(zero_patch(32), (8, 8, 8))
         np.testing.assert_array_equal(a.data, b.data)
@@ -80,8 +80,8 @@ class TestNoisyOracle:
     def test_model_seeds_give_independent_fp(self):
         gt = mask(np.zeros((64, 64, 64)))
         p = 0.1
-        h1 = make_noisy_oracle(gt, 64, NoiseSpec(per_voxel_fp=p), model_seed=1)
-        h2 = make_noisy_oracle(gt, 64, NoiseSpec(per_voxel_fp=p), model_seed=2)
+        h1 = NoisyOraclePredictor(gt, 64, NoiseSpec(per_voxel_fp=p), model_seed=1)
+        h2 = NoisyOraclePredictor(gt, 64, NoiseSpec(per_voxel_fp=p), model_seed=2)
         a = h1.predict(zero_patch(64), (0, 0, 0)).data > 0
         b = h2.predict(zero_patch(64), (0, 0, 0)).data > 0
         assert (a != b).any()
@@ -95,7 +95,7 @@ class TestNoisyOracle:
         gt = mask(np.zeros((96, 96, 96)))
         rate = 2.0
         spec = NoiseSpec(fp_blob_rate=rate, fp_blob_radius=(3.0, 3.0))
-        h = make_noisy_oracle(gt, 96, spec, model_seed=7)
+        h = NoisyOraclePredictor(gt, 96, spec, model_seed=7)
         # a ball of radius 3 at a uniform continuous center covers
         # (4/3)*pi*27 ~ 113 lattice points on average; edges shave a little
         totals = []
@@ -108,14 +108,14 @@ class TestNoisyOracle:
     def test_holes_delete_foreground(self):
         gt = mask(np.ones((32, 32, 32)))
         spec = NoiseSpec(fn_hole_rate=5.0, fp_blob_radius=(3.0, 3.0))
-        h = make_noisy_oracle(gt, 32, spec, model_seed=3)
+        h = NoisyOraclePredictor(gt, 32, spec, model_seed=3)
         out = h.predict(zero_patch(32), (0, 0, 0))
         assert (out.data == 0).any() and (out.data == 1).any()
 
     def test_output_clamped(self, rng):
         gt = random_mask(rng, (32, 32, 32))
         spec = NoiseSpec(per_voxel_fp=0.3, fp_blob_rate=3.0)
-        h = make_noisy_oracle(gt, 32, spec, model_seed=1)
+        h = NoisyOraclePredictor(gt, 32, spec, model_seed=1)
         out = h.predict(zero_patch(32), (0, 0, 0))
         assert out.data.min() >= 0.0 and out.data.max() <= 1.0
 
@@ -130,7 +130,7 @@ class TestNoisyOracle:
         gt = mask(np.zeros((64, 64, 64)))
         p = 0.1
         outs = [
-            make_noisy_oracle(gt, 64, NoiseSpec(per_voxel_fp=p), model_seed=m)
+            NoisyOraclePredictor(gt, 64, NoiseSpec(per_voxel_fp=p), model_seed=m)
             .predict(zero_patch(64), (0, 0, 0)).data > 0
             for m in (1, 2, 3)
         ]
@@ -156,7 +156,7 @@ class TestExternal:
         return [sys.executable, SERVER, *args]
 
     def test_constant_server(self):
-        h = make_external(self.server("constant", "0.5"), 8, timeout=10)
+        h = ExternalPredictor(self.server("constant", "0.5"), 8, timeout=10)
         try:
             out = h.predict(zero_patch(8), (1, 2, 3))
             assert (out.data == 0.5).all()
@@ -167,10 +167,10 @@ class TestExternal:
 
     def test_window_mismatch_is_construction_error(self):
         with pytest.raises(PredictorError, match="window"):
-            make_external(self.server("window64"), 32, timeout=10)
+            ExternalPredictor(self.server("window64"), 32, timeout=10)
 
     def test_server_death_names_window(self):
-        h = make_external(self.server("die"), 8, timeout=10)
+        h = ExternalPredictor(self.server("die"), 8, timeout=10)
         try:
             with pytest.raises(PredictorError, match=r"\(3, 4, 5\)"):
                 h.predict(zero_patch(8), (3, 4, 5))
@@ -178,7 +178,7 @@ class TestExternal:
             h.close()
 
     def test_hung_server_times_out(self):
-        h = make_external(self.server("hang"), 8, timeout=1.0)
+        h = ExternalPredictor(self.server("hang"), 8, timeout=1.0)
         try:
             start = time.monotonic()
             with pytest.raises(PredictorError, match=r"timeout.*\(3, 4, 5\)"):
@@ -192,4 +192,4 @@ class TestExternal:
 
     def test_unspawnable_command(self):
         with pytest.raises(PredictorError):
-            make_external(["/nonexistent/binary"], 8)
+            ExternalPredictor(["/nonexistent/binary"], 8)

@@ -3,8 +3,8 @@ import pytest
 from scipy import ndimage
 
 from braincascade.volume import (
-    BoundingBox, Kind, Volume, conform_cube, extract_patch, minmax_normalize,
-    resample, unconform_cube,
+    Kind, Volume, conform_cube, minmax_normalize, read_box, resample,
+    unconform_cube,
 )
 from conftest import intensity, mask
 
@@ -227,35 +227,43 @@ def test_conform_cube_matches_crop_and_pad(rng):
 
 
 class TestExtractPatch:
+    """read_box: a box copied out of an array, zeros outside it."""
+
     def test_full_extent_copy(self, rng):
-        vol = intensity(rng.random((6, 7, 8)))
-        out = extract_patch(vol, BoundingBox.full(vol.dims))
-        np.testing.assert_array_equal(out.data, vol.data)
+        data = rng.random((6, 7, 8))
+        out = read_box(data, (0, 0, 0), data.shape)
+        np.testing.assert_array_equal(out, data)
 
     def test_constant_field(self):
-        vol = intensity(np.full((192, 192, 192), 5.0))
-        out = extract_patch(vol, BoundingBox((0, 0, 0), (32, 32, 32)))
-        assert out.dims == (32, 32, 32)
-        assert (out.data == 5.0).all()
+        out = read_box(np.full((192, 192, 192), 5.0), (0, 0, 0), (32, 32, 32))
+        assert out.shape == (32, 32, 32)
+        assert (out == 5.0).all()
 
-    def test_out_of_bounds_zero(self, rng):
-        vol = intensity(np.ones((10, 10, 10)))
-        box = BoundingBox((5, 5, 5), (15, 15, 15))
-        out = extract_patch(vol, box, pad_to=(32, 32, 32))
-        assert out.dims == (32, 32, 32)
+    def test_out_of_bounds_zero(self):
+        out = read_box(np.ones((10, 10, 10)), (5, 5, 5), (32, 32, 32))
+        assert out.shape == (32, 32, 32)
         # only the in-bounds 5^3 corner is nonzero
-        assert out.data.sum() == 5 ** 3
+        assert out.sum() == 5 ** 3
+        assert out[:5, :5, :5].all()
 
     def test_sum_matches_intersection(self, rng):
-        vol = intensity(rng.random((12, 12, 12)))
-        box = BoundingBox((6, 6, 6), (20, 20, 20))
-        out = extract_patch(vol, box, pad_to=(16, 16, 16))
-        np.testing.assert_allclose(out.data.sum(), vol.data[6:, 6:, 6:].sum(), rtol=1e-6)
+        data = rng.random((12, 12, 12))
+        out = read_box(data, (6, 6, 6), (16, 16, 16))
+        np.testing.assert_allclose(out.sum(), data[6:, 6:, 6:].sum(), rtol=1e-6)
 
-    def test_disjoint_rejected(self):
-        vol = intensity(np.zeros((4, 4, 4)))
-        with pytest.raises(ValueError):
-            extract_patch(vol, BoundingBox((10, 10, 10), (12, 12, 12)))
+    def test_negative_mins(self, rng):
+        data = rng.integers(1, 255, size=(6, 7, 8)).astype(np.uint8)
+        out = read_box(data, (-2, 3, -1), (5, 6, 4), dtype=np.float32)
+        assert out.dtype == np.float32
+        expected = np.zeros((5, 6, 4), dtype=np.float32)
+        expected[2:, :4, 1:] = data[:3, 3:, :3]
+        np.testing.assert_array_equal(out, expected)
+
+    def test_disjoint_reads_zeros(self):
+        for mins in [(10, 10, 10), (-3, 0, 0), (0, 4, 0)]:
+            out = read_box(np.ones((4, 4, 4), dtype=np.uint8), mins, (2, 3, 4))
+            assert out.shape == (2, 3, 4) and out.dtype == np.uint8
+            assert not out.any()
 
 
 class TestMinMaxNormalize:
