@@ -211,12 +211,46 @@ CONFIG_SCHEMA_VERSION = 1
 MODEL_SEEDS = {"A": 1, "B": 2, "C": 3, "D": 4}
 _NOISE_KEYS = tuple(f.name for f in fields(NoiseSpec))
 _CONFIG_KEYS = ("alpha", "bfs_threshold", "accumulate_mode", "bfs_combine", "connectivity")
+# accepted keys per level; "gt" is read by the CLI, not here
+_TOP_KEYS = ("schema_version", "gt", "predictor", "bfs_stages", "dfs_stages") + _CONFIG_KEYS
+_STAGE_KEYS = ("model", "name", "window", "step", "predictor")
+_BACKEND_KEYS = {
+    "oracle": (),
+    "noisy_oracle": _NOISE_KEYS + ("model_seed",),
+    "constant": ("value",),
+    "external": ("command", "timeout"),
+}
+
+
+def _check_object(obj, keys, where: str) -> dict:
+    """``obj`` itself if it is a JSON object holding only the given keys."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    unknown = [k for k in obj if k not in keys]
+    if unknown:
+        raise ValueError(f"{where}: unknown key {', '.join(map(repr, unknown))} "
+                         f"(accepted: {', '.join(keys)})")
+    return obj
+
+
+def _check_predictor(spec, where: str) -> dict:
+    """``spec`` itself if it is a predictor object holding only the keys of
+    its backend."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(spec).__name__}")
+    backend = spec.get("backend", "constant")
+    if not isinstance(backend, str) or backend not in _BACKEND_KEYS:
+        raise ValueError(f"{where}: unknown backend {backend!r}, "
+                         f"expected one of {' '.join(_BACKEND_KEYS)}")
+    return _check_object(spec, ("backend",) + _BACKEND_KEYS[backend],
+                         f"{where} ({backend} backend)")
 
 
 def _build_predictor(spec: dict, window: int, name: str, model: str,
                      gt: Volume | None, master_seed: int) -> Predictor:
-    """One stage's predictor; ``model`` is its model letter or, lacking one,
-    its name, and picks the noisy oracle's default model seed."""
+    """One stage's predictor from a checked spec; ``model`` is its model
+    letter or, lacking one, its name, and picks the noisy oracle's default
+    model seed."""
     backend = spec.get("backend", "constant")
     if backend == "oracle":
         if gt is None:
@@ -231,12 +265,10 @@ def _build_predictor(spec: dict, window: int, name: str, model: str,
                                     master_seed=master_seed, id=name)
     if backend == "constant":
         return ConstantPredictor(spec.get("value", 0.0), window, id=name)
-    if backend == "external":
-        if "command" not in spec:
-            raise ValueError(f"stage {name}: external backend needs a command")
-        return ExternalPredictor(list(spec["command"]), window,
-                                 timeout=spec.get("timeout", 30.0), id=name)
-    raise ValueError(f"stage {name}: unknown backend {backend!r}")
+    if "command" not in spec:
+        raise ValueError(f"stage {name}: external backend needs a command")
+    return ExternalPredictor(list(spec["command"]), window,
+                             timeout=spec.get("timeout", 30.0), id=name)
 
 
 def config_from_dict(d: dict, gt: Volume | None = None,
@@ -244,29 +276,38 @@ def config_from_dict(d: dict, gt: Volume | None = None,
     """Build a runnable configuration from the JSON config schema.
 
     Stages default to the paper's roster: localization A+D, refinement B,C,D.
+    A key the schema does not know, or a list or object given as another
+    type, is a ValueError naming where it sits.
     """
+    _check_object(d, _TOP_KEYS, "config top level")
     version = d.get("schema_version", CONFIG_SCHEMA_VERSION)
     if version != CONFIG_SCHEMA_VERSION:
         raise ValueError(f"unsupported config schema version {version}")
+    default_spec = _check_predictor(d.get("predictor", {"backend": "constant"}), "predictor")
     built: list[Predictor] = []  # closed again if a later stage fails
 
     def stages(key, default_models):
         specs = d.get(key)
         if specs is None:
             specs = [{"model": m} for m in default_models]
+        elif not isinstance(specs, list):
+            raise ValueError(f"{key} must be a list, got {type(specs).__name__}")
         out = []
-        for s in specs:
+        for i, s in enumerate(specs):
+            where = f"{key}[{i}]"
+            _check_object(s, _STAGE_KEYS, where)
+            spec = (_check_predictor(s["predictor"], f"{where}.predictor")
+                    if "predictor" in s else default_spec)
             model = s.get("model")
             if model is not None and model not in MODEL_PARAMS:
-                raise ValueError(f"stage in {key}: unknown model {model!r}, "
+                raise ValueError(f"{where}: unknown model {model!r}, "
                                  f"expected one of {' '.join(MODEL_PARAMS)}")
             window = s.get("window", MODEL_PARAMS[model].window if model else None)
             step = s.get("step", MODEL_STEPS[model] if model else None)
             if window is None or step is None:
-                raise ValueError(f"stage in {key} needs a model letter or window+step")
+                raise ValueError(f"{where} needs a model letter or window+step")
             name = s.get("name", model or f"w{window}")
-            backend = s.get("predictor", d.get("predictor", {"backend": "constant"}))
-            pred = _build_predictor(backend, window, name, model or name, gt, master_seed)
+            pred = _build_predictor(spec, window, name, model or name, gt, master_seed)
             built.append(pred)
             out.append(StageSpec(name, pred, window, step))
         return out

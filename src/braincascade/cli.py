@@ -79,6 +79,8 @@ def cmd_extract(args) -> int:
     if not os.path.exists(config_path):
         return _fail(f"config file not found: {config_path}")
     cfg_dict = _load_json(config_path)
+    if not isinstance(cfg_dict, dict):
+        return _fail(f"config top level must be a JSON object, got {type(cfg_dict).__name__}")
 
     vol = io_nifti.read_nifti(args.input)
     native_dims, native_spacing = vol.dims, vol.spacing

@@ -130,6 +130,32 @@ def _sample_transform(p: SynthesisParams, rng: np.random.Generator) -> dict:
     }
 
 
+def upsample_linear(grid: np.ndarray, dims) -> np.ndarray:
+    """Corner-aligned linear upsampling of a control grid to ``dims``.
+
+    Output index k of an axis samples ``k * (n_in - 1) / (n_out - 1)``, the
+    mapping of ``ndimage.zoom(order=1)``, one axis at a time.
+    """
+    out = grid
+    for axis, (d, n) in enumerate(zip(grid.shape, dims)):
+        step = (d - 1) / (n - 1) if n > 1 else 0.0
+        out = vol_ops.interp_axis(out, np.arange(n) * step, axis)
+    return out
+
+
+def _affine_grid(dims, inv: np.ndarray, center: np.ndarray,
+                 shift_vox: np.ndarray) -> np.ndarray:
+    """Input coordinates ``inv @ (x - center - shift) + center`` of every
+    output voxel x, shape (3, *dims), summed from broadcast 1-D axes."""
+    rel = [(np.arange(n, dtype=np.float64) - center[a] - shift_vox[a]).reshape(
+               [-1 if b == a else 1 for b in range(3)]) for a, n in enumerate(dims)]
+    coords = np.empty((3, *dims))
+    for i in range(3):
+        np.add(inv[i, 0] * rel[0] + inv[i, 1] * rel[1], inv[i, 2] * rel[2], out=coords[i])
+        coords[i] += center[i]
+    return coords
+
+
 def _apply_transform(lm: Volume, p: SynthesisParams, params: dict,
                      rng: np.random.Generator) -> Volume:
     dims = lm.dims
@@ -146,18 +172,14 @@ def _apply_transform(lm: Volume, p: SynthesisParams, params: dict,
     if identity:
         return lm
 
-    out_idx = np.indices(dims, dtype=np.float64)
-    rel = out_idx - center.reshape(3, 1, 1, 1) - shift_vox.reshape(3, 1, 1, 1)
-    inv = np.linalg.inv(rot * scale)
-    coords = np.einsum("ij,jxyz->ixyz", inv, rel) + center.reshape(3, 1, 1, 1)
+    coords = _affine_grid(dims, np.linalg.inv(rot * scale), center, shift_vox)
 
     if p.warp_max > 0:
         # smooth displacement from a low-resolution control grid, amplitude
         # bounded by warp_max (linear upsampling cannot overshoot)
         grid = rng.uniform(-p.warp_max, p.warp_max, size=(3, 8, 8, 8))
-        zoom = [d / 8 for d in dims]
-        disp = np.stack([ndimage.zoom(g, zoom, order=1) for g in grid])
-        coords = coords + disp / spacing.reshape(3, 1, 1, 1)
+        for i in range(3):
+            coords[i] += upsample_linear(grid[i], dims) / spacing[i]
 
     out = ndimage.map_coordinates(lm.data, coords, order=0, mode="constant", cval=0)
     return Volume(out.astype(lm.data.dtype), lm.spacing, Kind.LABEL)
@@ -167,7 +189,9 @@ def augment_spatial(lm: Volume, p: SynthesisParams, rng: np.random.Generator) ->
     """Random translation, rotation, isotropic scaling, and smooth warp.
 
     Resampled nearest-neighbor; voxels mapped from outside the grid become
-    background.
+    background. The warp field, like the bias field of the rendering, is a
+    corner-aligned linear upsampling of a small random control grid
+    (``upsample_linear``).
     """
     params = _sample_transform(p, rng)
     return _apply_transform(lm, p, params, rng)
@@ -232,7 +256,7 @@ def _synthesize_raw(lm: Volume, p: SynthesisParams, rng: np.random.Generator):
     bias_amp = float(rng.uniform(0, p.bias_amplitude)) if p.bias_amplitude > 0 else 0.0
     if bias_amp > 0:
         grid = rng.uniform(-bias_amp, bias_amp, size=(4, 4, 4))
-        bias = ndimage.zoom(grid, [d / 4 for d in lm.dims], order=1)
+        bias = upsample_linear(grid, lm.dims)
         img = img * np.exp(bias).astype(np.float32)
 
     factor = int(rng.integers(1, p.downsample_factor_max + 1))

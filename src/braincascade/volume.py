@@ -140,18 +140,29 @@ def _resample_to(vol: Volume, out_dims, target_spacing, interp: str) -> Volume:
     for axis in sorted(range(3), key=lambda a: out_dims[a] / max(vol.dims[a], 1)):
         n, d = out_dims[axis], vol.dims[axis]
         c = (np.arange(n) + 0.5) * target_spacing[axis] / vol.spacing[axis] - 0.5
-        if not linear:
+        if linear:
+            out = interp_axis(out, c, axis)
+        else:
             out = np.take(out, np.clip(np.floor(c + 0.5).astype(np.intp), 0, d - 1), axis=axis)
-            continue
-        lo = np.floor(c)
-        w = (c - lo).reshape([-1 if a == axis else 1 for a in range(3)])
-        lo = lo.astype(np.intp)
-        prev = out
-        out = np.take(prev, np.clip(lo, 0, d - 1), axis=axis) * (1.0 - w)
-        out += np.take(prev, np.clip(lo + 1, 0, d - 1), axis=axis) * w
     if linear:
         out = out.astype(np.float32)
     return Volume(out, tuple(target_spacing), vol.kind)
+
+
+def interp_axis(data: np.ndarray, c: np.ndarray, axis: int) -> np.ndarray:
+    """Linear interpolation along one axis: output index k along ``axis``
+    reads the input at position ``c[k]``.
+
+    Indices clamp to the edge, as ``map_coordinates`` does with
+    ``mode="nearest"``. The weights are float64, and so is the result.
+    """
+    d = data.shape[axis]
+    lo = np.floor(c)
+    w = (c - lo).reshape([-1 if a == axis else 1 for a in range(data.ndim)])
+    lo = lo.astype(np.intp)
+    out = np.take(data, np.clip(lo, 0, d - 1), axis=axis) * (1.0 - w)
+    out += np.take(data, np.clip(lo + 1, 0, d - 1), axis=axis) * w
+    return out
 
 
 def overlap_slices(mins, shape, dims):

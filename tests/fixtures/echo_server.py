@@ -2,6 +2,7 @@
 
 Usage: echo_server.py MODE [VALUE]
   constant   - reply to every request with a uniform probability patch
+  echo       - reply to every request with its patch bytes unchanged
   window64   - advertise window 64 regardless of what the parent requests
   die        - exit right after a successful handshake
   hang       - read the first request, then sleep without replying
@@ -46,8 +47,8 @@ def main():
         sys.exit(0)
     reply = struct.pack(f"<{n}f", *([value] * n))
     while True:
-        read_exact(24 + 4 * n)  # origin + patch
-        sys.stdout.buffer.write(reply)
+        request = read_exact(24 + 4 * n)  # origin + patch
+        sys.stdout.buffer.write(request[24:] if mode == "echo" else reply)
         sys.stdout.buffer.flush()
 
 

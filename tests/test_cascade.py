@@ -296,6 +296,33 @@ class TestConfig:
             {"predictor": {"backend": "noisy_oracle", "model_seed": 9}}, gt=gt)
         assert {s.predictor.model_seed for s in config.bfs_stages + config.dfs_stages} == {9}
 
+    def test_from_dict_unknown_key_rejected(self):
+        with pytest.raises(ValueError, match="top level.*'alhpa'"):
+            config_from_dict({"predictor": {"backend": "noisy_oracle"}, "alhpa": 0.5},
+                             gt=mask(np.zeros((32, 32, 32))))
+        with pytest.raises(ValueError, match="'noise'"):
+            config_from_dict({"predictor": {"backend": "noisy_oracle",
+                                            "noise": {"per_voxel_fp": 0.1}}},
+                             gt=mask(np.zeros((32, 32, 32))))
+
+    def test_from_dict_every_documented_key_accepted(self):
+        # the README's example, with a constant predictor in place of the oracle
+        config = config_from_dict({
+            "schema_version": 1, "alpha": 0.3, "bfs_threshold": 0.0,
+            "accumulate_mode": "sum", "bfs_combine": "union", "connectivity": 6,
+            "gt": "gt.nii", "predictor": {"backend": "constant", "value": 0.5},
+            "bfs_stages": [{"name": "A", "window": 128, "step": 64},
+                           {"model": "D", "predictor": {"backend": "constant"}}],
+            "dfs_stages": [{"model": "B"}, {"model": "C"}, {"name": "D", "window": 32, "step": 32}],
+        })
+        assert config.alpha == 0.3 and config.connectivity == 6
+        gt = mask(np.zeros((32, 32, 32)))
+        for spec in ({"backend": "oracle"},
+                     {"backend": "noisy_oracle", "per_voxel_fp": 0.1, "fp_blob_rate": 0.5,
+                      "fp_blob_radius": [2, 3], "fn_hole_rate": 0.5, "seed_offset": 1,
+                      "model_seed": 3}):
+            config_from_dict({"predictor": spec}, gt=gt)
+
     def test_from_dict_unknown_backend(self):
         with pytest.raises(ValueError):
             config_from_dict({"predictor": {"backend": "nope"}})

@@ -201,6 +201,32 @@ class TestConfigErrors:
         assert code == 1
         self.one_line_error(capsys, "stage A", "command")
 
+    @pytest.mark.parametrize("cfg,names", [
+        ({"alhpa": 0.5}, ("'alhpa'", "top level")),
+        ({"bfs_stages": [{"model": "A", "stpe": 8}]}, ("'stpe'", "bfs_stages[0]")),
+        ({"predictor": {"backend": "noisy_oracle", "noise": {"per_voxel_fp": 0.1}}},
+         ("'noise'", "noisy_oracle", "predictor")),
+        ({"dfs_stages": [{"model": "B", "predictor": {"backend": "constant", "valu": 1}}]},
+         ("'valu'", "dfs_stages[0].predictor", "constant")),
+    ])
+    def test_unknown_key(self, tmp_path, phantom_files, capsys, cfg, names):
+        code = self.extract(tmp_path, phantom_files, cfg)
+        assert code == 1
+        self.one_line_error(capsys, *names)
+
+    @pytest.mark.parametrize("cfg,names", [
+        ({"bfs_stages": ["A"]}, ("bfs_stages[0]", "object")),
+        ({"predictor": "oracle"}, ("predictor", "object")),
+        ({"dfs_stages": "BCD"}, ("dfs_stages", "list")),
+        ({"dfs_stages": [{"model": "B", "predictor": ["oracle"]}]},
+         ("dfs_stages[0].predictor", "object")),
+        (["A", "D"], ("config", "object")),
+    ])
+    def test_wrong_value_type(self, tmp_path, phantom_files, capsys, cfg, names):
+        code = self.extract(tmp_path, phantom_files, cfg)
+        assert code == 1
+        self.one_line_error(capsys, *names)
+
     def test_unknown_noise_key(self, capsys):
         code = main(["simulate", "--seeds", "1", "--noise-spec", '{"bogus": 1}'])
         assert code == 1

@@ -165,6 +165,18 @@ class TestExternal:
         finally:
             h.close()
 
+    def test_echo_keeps_byte_order(self):
+        # axis-dependent values: a transposed or byte-swapped patch differs
+        w = 8
+        i, j, k = np.indices((w, w, w))
+        patch = ((i * w * w + j * w + k) / w ** 3).astype(np.float32)
+        h = ExternalPredictor(self.server("echo"), w, timeout=10)
+        try:
+            out = h.predict(intensity(patch), (3, 16, 40))
+            np.testing.assert_array_equal(out.data, patch)
+        finally:
+            h.close()
+
     def test_window_mismatch_is_construction_error(self):
         with pytest.raises(PredictorError, match="window"):
             ExternalPredictor(self.server("window64"), 32, timeout=10)

@@ -1,12 +1,16 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from scipy import ndimage
 
 from braincascade.morphology import connected_components
 from braincascade.synth import (
-    MODEL_PARAMS, MODEL_STEPS, SynthesisParams, _apply_transform, _synthesize_raw,
-    add_random_shapes, augment_spatial, brain_mask, center_brain,
-    make_phantom_label_map, make_training_pair, synthesize_image,
+    MODEL_PARAMS, MODEL_STEPS, SynthesisParams, _affine_grid, _apply_transform,
+    _rotation_matrix, _synthesize_raw, add_random_shapes, augment_spatial, brain_mask,
+    center_brain, make_phantom_label_map, make_training_pair, synthesize_image,
+    upsample_linear,
 )
 from braincascade.volume import Kind, Volume
 
@@ -79,6 +83,34 @@ class TestAugmentSpatial:
             for seed in range(15)
         ]
         assert min(fractions) < 1.0
+
+
+class TestSeparableReference:
+    """The broadcast affine grid and the separable field upsampling against
+    the dense code they replaced."""
+
+    @pytest.mark.parametrize("seed,dims", [(41, (37, 50, 23)), (42, (128, 128, 128))])
+    def test_affine_grid_equals_indices_einsum(self, seed, dims):
+        rng = np.random.default_rng(seed)
+        inv = np.linalg.inv(_rotation_matrix(rng.uniform(-180, 180, 3)) * rng.uniform(0.4, 1.6))
+        center = (np.array(dims) - 1) / 2.0
+        shift_vox = rng.uniform(-48, 48, 3)
+        out_idx = np.indices(dims, dtype=np.float64)
+        rel = out_idx - center.reshape(3, 1, 1, 1) - shift_vox.reshape(3, 1, 1, 1)
+        expected = np.einsum("ij,jxyz->ixyz", inv, rel) + center.reshape(3, 1, 1, 1)
+        np.testing.assert_array_equal(_affine_grid(dims, inv, center, shift_vox), expected)
+
+    @pytest.mark.parametrize("grid_shape,dims", [
+        ((8, 8, 8), (128, 128, 128)),
+        ((4, 4, 4), (97, 128, 64)),
+        ((4, 4, 4), (1, 9, 5)),
+    ])
+    def test_upsample_matches_zoom(self, grid_shape, dims):
+        g = np.random.default_rng(43).uniform(-3, 3, size=grid_shape)
+        expected = ndimage.zoom(g, np.array(dims) / np.array(g.shape), order=1)
+        out = upsample_linear(g, dims)
+        assert out.shape == expected.shape == dims
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
 
 class TestRandomShapes:
@@ -191,3 +223,36 @@ class TestModelTable:
 
     def test_steps(self):
         assert MODEL_STEPS == {"A": 64, "B": 32, "C": 32, "D": 32}
+
+
+class TestPairDigests:
+    """Pins the exact bytes of make_training_pair for one model-A and one
+    model-D seed: image, mask and metadata.
+
+    Synthesis may be made faster but never different: any change to the
+    affine grid, the warp or bias fields, or the rendering that moves a
+    single voxel or a metadata value changes these digests.
+    """
+
+    @staticmethod
+    def digests(model, seed):
+        p = MODEL_PARAMS[model]
+        lm = make_phantom_label_map(np.random.default_rng(seed), (max(64, p.window),) * 3)
+        pair = make_training_pair(lm, p, np.random.default_rng(seed + 100))
+        parts = (pair.image.data.tobytes(), pair.gt.data.tobytes(),
+                 json.dumps(pair.metadata, sort_keys=True).encode())
+        return tuple(hashlib.sha256(b).hexdigest() for b in parts)
+
+    def test_model_a(self):
+        assert self.digests("A", 31) == (
+            "8730789d6898155494e038e3248788b1b0e0dc638aaacf7b4130f74a83ce1be8",
+            "dcbeb2dbd6dbdd14a70a1ce2f6932b65846747534dd1f2d02a7f7f17e72403e1",
+            "851d76278c41add6c8c67bacd8b4355d94014876899c82e9fcd1515c680d8a30",
+        )
+
+    def test_model_d(self):
+        assert self.digests("D", 32) == (
+            "1c6c056ee1748dd63d8c83a4183e500f9bbb20ba12581f941d74915126ce0249",
+            "e3643d7af9f73570c215bd64cba1b88be00518be5745ef190a85bba36b86aa73",
+            "d9da289310be32d47041b1569ac06674c5edb41f4b6ad9f8e91e211fbe59baa2",
+        )
