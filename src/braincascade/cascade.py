@@ -13,6 +13,7 @@ is zero outside it) and zero-padded to full size once.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -60,11 +61,12 @@ class CascadeConfig:
     accumulate_mode: str = "sum"
     bfs_combine: str = "union"  # or "intersection"
     connectivity: int = 26
-    threads: int = 1
 
     def __post_init__(self):
         if not 0 <= self.alpha <= 1:
             raise ValueError("alpha must be in [0, 1]")
+        if self.connectivity not in (6, 26):
+            raise ValueError(f"connectivity must be 6 or 26, got {self.connectivity!r}")
         if not self.dfs_stages:
             raise ValueError("at least one refinement stage is required")
         windows = [s.window for s in self.dfs_stages]
@@ -86,7 +88,7 @@ class ExtractionResult:
     mask: Volume
     roi_trace: list[tuple[str, BoundingBox]] = field(default_factory=list)
     status: str = STATUS_OK
-    stage_masks: dict = field(default_factory=dict)  # stage name -> full-size mask
+    stage_masks: dict = field(default_factory=dict)  # name -> mask on the first dfs region
 
 
 def reconstruct_full(s: Volume, r: BoundingBox, dims) -> Volume:
@@ -99,11 +101,10 @@ def reconstruct_full(s: Volume, r: BoundingBox, dims) -> Volume:
     return Volume(vol_ops.read_box(s.data, tuple(-a for a in r.mins), dims), s.spacing, s.kind)
 
 
-def _run_stage(vol: Volume, region: BoundingBox, stage: StageSpec,
-               mode: str, threads: int) -> Volume:
+def _run_stage(vol: Volume, region: BoundingBox, stage: StageSpec, mode: str) -> Volume:
     """Accumulate one stage's windows over a region, snapped into the volume."""
     plan = snap_plan_into(plan_windows(region, stage.window, stage.step), vol.dims)
-    return run_windows(vol, plan, stage.predictor, mode=mode, threads=threads)
+    return run_windows(vol, plan, stage.predictor, mode=mode)
 
 
 def bfs_localize(vol: Volume, config: CascadeConfig):
@@ -115,7 +116,7 @@ def bfs_localize(vol: Volume, config: CascadeConfig):
     full = BoundingBox.full(vol.dims)
     combined = None
     for stage in config.bfs_stages:
-        p = _run_stage(vol, full, stage, config.accumulate_mode, config.threads)
+        p = _run_stage(vol, full, stage, config.accumulate_mode)
         above = p.data > config.bfs_threshold
         if combined is None:
             combined = above
@@ -139,30 +140,30 @@ def dfs_refine(vol: Volume, region: BoundingBox, config: CascadeConfig) -> Extra
     so far.
     """
     roi_trace: list[tuple[str, BoundingBox]] = []
-    stage_masks: dict[str, Volume] = {}
-    full_masks: list[Volume] = []
+    masks: list[Volume] = []  # in the first region's frame
     r = region
     for stage in config.dfs_stages:
-        p = _run_stage(vol, r, stage, config.accumulate_mode, config.threads)
+        p = _run_stage(vol, r, stage, config.accumulate_mode)
         s = threshold(p, config.alpha)
         comps = connected_components(s, config.connectivity)
         if not comps.sizes:
             break
         local_box = bounding_box(largest_component(comps))
-        s_full = reconstruct_full(s, r, vol.dims)
-        stage_masks[stage.name] = s_full
-        full_masks.append(s_full)
+        # r lies inside the first region: place the mask in that region's frame
+        in_region = tuple(a - b for a, b in zip(region.mins, r.mins))
+        masks.append(Volume(vol_ops.read_box(s.data, in_region, region.shape),
+                            s.spacing, Kind.MASK))
         r = BoundingBox(
             tuple(a + b for a, b in zip(r.mins, local_box.mins)),
             tuple(a + b for a, b in zip(r.mins, local_box.maxs)),
         )
         roi_trace.append((stage.name, r))
-    if not full_masks:
+    stage_masks = dict(zip([st.name for st in config.dfs_stages], masks))
+    if not masks:
         empty = Volume(np.zeros(vol.dims, dtype=np.uint8), vol.spacing, Kind.MASK)
         return ExtractionResult(empty, roi_trace, STATUS_NO_BRAIN, stage_masks)
-    # every stage mask is zero outside the first region: vote inside it only
-    inside = [Volume(m.data[region.slices()], m.spacing, Kind.MASK) for m in full_masks]
-    final = reconstruct_full(majority_vote(inside), region, vol.dims)
+    # the stage masks live in the first region's frame: vote there, pad once
+    final = reconstruct_full(majority_vote(masks), region, vol.dims)
     return ExtractionResult(final, roi_trace, STATUS_OK, stage_masks)
 
 
@@ -170,8 +171,8 @@ def extract_brain(vol: Volume, config: CascadeConfig,
                   conform_side: int = 192, target_spacing: float = 1.0) -> ExtractionResult:
     """Full pipeline on an intensity volume: conform, localize, refine.
 
-    The result lives on the conformed grid; callers needing the native grid
-    undo the conforming themselves (the CLI does).
+    The result lives on the conformed grid; restore_native maps it back
+    onto the input's grid.
     """
     if vol.kind is not Kind.INTENSITY:
         raise ValueError("extract_brain expects an intensity volume")
@@ -196,11 +197,18 @@ def conform_input(vol: Volume, side: int = 192, spacing: float = 1.0) -> Volume:
     return out
 
 
-def single_pass_extract(vol: Volume, stage: StageSpec, alpha: float = 0.2,
-                        mode: str = "sum", threads: int = 1) -> Volume:
+def restore_native(mask: Volume, native_dims, native_spacing, spacing: float = 1.0) -> Volume:
+    """Invert conform_input for a mask: undo the cube crop and padding, then
+    resample (nearest) onto the native grid it was conformed from."""
+    dims = vol_ops.resampled_dims(native_dims, native_spacing, (spacing,) * 3)
+    out = vol_ops.unconform_cube(mask, dims)
+    return vol_ops._resample_to(out, native_dims, native_spacing, "nearest")
+
+
+def single_pass_extract(vol: Volume, stage: StageSpec, alpha: float = 0.2, mode: str = "sum") -> Volume:
     """One sliding pass over the full volume, thresholded; the non-cascaded
     comparison arm."""
-    return threshold(_run_stage(vol, BoundingBox.full(vol.dims), stage, mode, threads), alpha)
+    return threshold(_run_stage(vol, BoundingBox.full(vol.dims), stage, mode), alpha)
 
 
 # -- configuration -----------------------------------------------------------
@@ -209,27 +217,38 @@ CONFIG_SCHEMA_VERSION = 1
 # noisy-oracle model seed of each model letter: stages of one model share
 # a noise stream, different models draw independent ones
 MODEL_SEEDS = {"A": 1, "B": 2, "C": 3, "D": 4}
-_NOISE_KEYS = tuple(f.name for f in fields(NoiseSpec))
-_CONFIG_KEYS = ("alpha", "bfs_threshold", "accumulate_mode", "bfs_combine", "connectivity")
-# accepted keys per level; "gt" is read by the CLI, not here
-_TOP_KEYS = ("schema_version", "gt", "predictor", "bfs_stages", "dfs_stages") + _CONFIG_KEYS
-_STAGE_KEYS = ("model", "name", "window", "step", "predictor")
+# scalar type, as annotated -> (the values it accepts, its name in errors)
+_SCALARS = {"int": (Integral, "an integer"), "float": (Real, "a number"), "str": (str, "a string")}
+# accepted keys per level, each with its type; only _SCALARS are checked here,
+# lists and objects where they are read; "gt" is read by the CLI, not here
+_NOISE_KEYS = {f.name: f.type for f in fields(NoiseSpec)}
+_CONFIG_KEYS = {f.name: f.type for f in fields(CascadeConfig) if not f.name.endswith("_stages")}
+_TOP_KEYS = {"schema_version": "int", "gt": "str", "predictor": "object",
+             "bfs_stages": "list", "dfs_stages": "list", **_CONFIG_KEYS}
+_STAGE_KEYS = {"model": "str", "name": "str", "window": "int", "step": "int", "predictor": "object"}
 _BACKEND_KEYS = {
-    "oracle": (),
-    "noisy_oracle": _NOISE_KEYS + ("model_seed",),
-    "constant": ("value",),
-    "external": ("command", "timeout"),
+    "oracle": {},
+    "noisy_oracle": {**_NOISE_KEYS, "model_seed": "int"},
+    "constant": {"value": "float"},
+    "external": {"command": "list", "timeout": "float"},
 }
 
 
-def _check_object(obj, keys, where: str) -> dict:
-    """``obj`` itself if it is a JSON object holding only the given keys."""
+def _check_object(obj, keys: dict, where: str) -> dict:
+    """``obj`` itself if it is a JSON object holding only the given keys,
+    each scalar of the type ``keys`` gives it."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where} must be a JSON object, got {type(obj).__name__}")
     unknown = [k for k in obj if k not in keys]
     if unknown:
         raise ValueError(f"{where}: unknown key {', '.join(map(repr, unknown))} "
                          f"(accepted: {', '.join(keys)})")
+    for k, v in obj.items():
+        if keys[k] in _SCALARS:
+            accepted, name = _SCALARS[keys[k]]
+            # JSON true/false arrive as bool, which Python counts as an integer
+            if isinstance(v, bool) or not isinstance(v, accepted):
+                raise ValueError(f"{where}: {k!r} must be {name}, got {type(v).__name__} {v!r}")
     return obj
 
 
@@ -242,7 +261,7 @@ def _check_predictor(spec, where: str) -> dict:
     if not isinstance(backend, str) or backend not in _BACKEND_KEYS:
         raise ValueError(f"{where}: unknown backend {backend!r}, "
                          f"expected one of {' '.join(_BACKEND_KEYS)}")
-    return _check_object(spec, ("backend",) + _BACKEND_KEYS[backend],
+    return _check_object(spec, {"backend": "str", **_BACKEND_KEYS[backend]},
                          f"{where} ({backend} backend)")
 
 
@@ -265,19 +284,19 @@ def _build_predictor(spec: dict, window: int, name: str, model: str,
                                     master_seed=master_seed, id=name)
     if backend == "constant":
         return ConstantPredictor(spec.get("value", 0.0), window, id=name)
-    if "command" not in spec:
-        raise ValueError(f"stage {name}: external backend needs a command")
-    return ExternalPredictor(list(spec["command"]), window,
-                             timeout=spec.get("timeout", 30.0), id=name)
+    command = spec.get("command")
+    if not isinstance(command, list) or not all(isinstance(c, str) for c in command):
+        raise ValueError(f"stage {name}: external backend needs a command, "
+                         f"a list of strings; got {command!r}")
+    return ExternalPredictor(command, window, timeout=spec.get("timeout", 30.0), id=name)
 
 
-def config_from_dict(d: dict, gt: Volume | None = None,
-                     master_seed: int = 0, threads: int = 1) -> CascadeConfig:
+def config_from_dict(d: dict, gt: Volume | None = None, master_seed: int = 0) -> CascadeConfig:
     """Build a runnable configuration from the JSON config schema.
 
     Stages default to the paper's roster: localization A+D, refinement B,C,D.
-    A key the schema does not know, or a list or object given as another
-    type, is a ValueError naming where it sits.
+    A key the schema does not know, or a value of another type than the key
+    takes, is a ValueError naming the key and where it sits.
     """
     _check_object(d, _TOP_KEYS, "config top level")
     version = d.get("schema_version", CONFIG_SCHEMA_VERSION)
@@ -316,7 +335,6 @@ def config_from_dict(d: dict, gt: Volume | None = None,
         return CascadeConfig(
             bfs_stages=stages("bfs_stages", ["A", "D"]),
             dfs_stages=stages("dfs_stages", ["B", "C", "D"]),
-            threads=threads,
             **{k: d[k] for k in _CONFIG_KEYS if k in d},
         )
     except BaseException:
@@ -325,17 +343,17 @@ def config_from_dict(d: dict, gt: Volume | None = None,
         raise
 
 
-def default_oracle_config(gt: Volume, threads: int = 1, **overrides) -> CascadeConfig:
+def default_oracle_config(gt: Volume, **overrides) -> CascadeConfig:
     """Default roster with perfect oracles for the given ground truth;
     overrides are top-level config keys."""
-    return config_from_dict({"predictor": {"backend": "oracle"}, **overrides},
-                            gt=gt, threads=threads)
+    return config_from_dict({"predictor": {"backend": "oracle"}, **overrides}, gt=gt)
 
 
 def default_noisy_config(gt: Volume, noise: NoiseSpec, master_seed: int = 0,
                          threads: int = 1, **overrides) -> CascadeConfig:
     """Default roster with noisy oracles seeded per model letter (MODEL_SEEDS);
-    overrides are top-level config keys."""
+    overrides are top-level config keys. ``threads`` has no effect; it stays
+    because callers pass it (bench/workloads.py's dense workload passes 2)."""
     return config_from_dict({"predictor": {"backend": "noisy_oracle", **asdict(noise)},
                              **overrides},
-                            gt=gt, master_seed=master_seed, threads=threads)
+                            gt=gt, master_seed=master_seed)

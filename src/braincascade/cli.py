@@ -7,7 +7,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -20,28 +19,18 @@ from .volume import BoundingBox, Kind, Volume
 from .windowing import WindowError, coverage_counts, plan_windows
 
 DEFAULT_CONFIG_ENV = "BRAINCASCADE_CONFIG"
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record written alongside command outputs."""
-
-    command: str
-    config: str | None
-    seed: int | None
-    inputs: list[str]
-    outputs: list[str]
-    version: str
-    timestamp: str
+# extract and simulate keep --threads, which has no effect, so that old
+# command lines still parse: argparse exits 2 on an unknown flag, and exit 2
+# means "no brain found"
+THREADS_HELP = "no effect: windows always run one at a time"
 
 
 def _manifest(command, config, seed, inputs, outputs) -> dict:
-    return asdict(RunManifest(
-        command=command, config=config, seed=seed,
-        inputs=[str(p) for p in inputs], outputs=[str(p) for p in outputs],
-        version=__version__,
-        timestamp=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-    ))
+    """Reproducibility record written alongside command outputs."""
+    return {"command": command, "config": config, "seed": seed,
+            "inputs": [str(p) for p in inputs], "outputs": [str(p) for p in outputs],
+            "version": __version__,
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())}
 
 
 def _fail(msg: str, code: int = 1) -> int:
@@ -83,7 +72,6 @@ def cmd_extract(args) -> int:
         return _fail(f"config top level must be a JSON object, got {type(cfg_dict).__name__}")
 
     vol = io_nifti.read_nifti(args.input)
-    native_dims, native_spacing = vol.dims, vol.spacing
     side, spacing = args.side, args.spacing
 
     gt = None
@@ -94,21 +82,14 @@ def cmd_extract(args) -> int:
         gt = cascade.conform_input(
             io_nifti.read_nifti(gt_path, kind=Kind.MASK), side, spacing
         )
-    config = cascade.config_from_dict(cfg_dict, gt=gt, master_seed=args.seed,
-                                      threads=args.threads)
+    config = cascade.config_from_dict(cfg_dict, gt=gt, master_seed=args.seed)
     try:
         result = cascade.extract_brain(vol, config, conform_side=side,
                                        target_spacing=spacing)
     finally:
         config.close()
 
-    # map the mask back to the input's native grid
-    resampled_dims = tuple(
-        int(np.floor(d * s / spacing + 0.5))
-        for d, s in zip(native_dims, native_spacing)
-    )
-    mask = vol_ops.unconform_cube(result.mask, resampled_dims)
-    mask = vol_ops._resample_to(mask, native_dims, native_spacing, "nearest")
+    mask = cascade.restore_native(result.mask, vol.dims, vol.spacing, spacing)
     io_nifti.write_nifti(mask, args.out, datatype="uint8")
 
     trace_path = args.trace or (os.path.splitext(args.out)[0] + "_trace.json")
@@ -216,8 +197,7 @@ def cmd_simulate(args) -> int:
             Volume(lm.data.astype(np.float32), lm.spacing, Kind.INTENSITY)
         )
         master = args.seed * 10_000 + k
-        config = cascade.default_noisy_config(gt, noise, master_seed=master,
-                                              threads=args.threads)
+        config = cascade.default_noisy_config(gt, noise, master_seed=master)
         result = cascade.extract_brain(intensity, config)
         if not result.roi_trace:  # the breadth pass found nothing
             rows.append((k, 0.0, 0.0, float("nan")))
@@ -225,8 +205,7 @@ def cmd_simulate(args) -> int:
         cascade_dice = metrics.dice(result.mask, gt)
 
         single_stage = next(s for s in config.bfs_stages if s.name == "A")
-        single = single_pass_extract(intensity, single_stage, alpha=config.alpha,
-                                     threads=args.threads)
+        single = single_pass_extract(intensity, single_stage, alpha=config.alpha)
         single_dice = metrics.dice(single, gt)
 
         final_roi = result.roi_trace[-1][1]
@@ -294,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="ROI trace JSON path")
     p.add_argument("--gt", help="ground-truth mask for oracle backends")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--side", type=int, default=192)
     p.add_argument("--spacing", type=float, default=1.0)
     p.set_defaults(func=cmd_extract)
@@ -322,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-spec", help="NoiseSpec JSON (inline or path)")
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--report", help="output file prefix (.csv/.txt)")
     p.set_defaults(func=cmd_simulate)
 

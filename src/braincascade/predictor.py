@@ -110,7 +110,7 @@ class NoisyOraclePredictor(Predictor):
     precomputed flip field per handle), so overlapping windows agree on each
     voxel's noise and the per-stage FP rate stays exactly ``per_voxel_fp``.
     Blob and hole noise is keyed by (seed, model seed, patch origin), so
-    outputs never depend on window evaluation order or parallelism.
+    outputs never depend on window evaluation order.
     """
 
     def __init__(self, gt: Volume, window: int, noise: NoiseSpec,

@@ -118,11 +118,13 @@ def resample(vol: Volume, target_spacing, interp: str = "linear") -> Volume:
     if interp == "linear" and vol.kind in (Kind.LABEL, Kind.MASK):
         raise ValueError("linear interpolation is not valid for label/mask volumes; use nearest")
 
-    out_dims = tuple(
-        int(np.floor(d * s / t + 0.5))
-        for d, s, t in zip(vol.dims, vol.spacing, target_spacing)
-    )
-    return _resample_to(vol, out_dims, target_spacing, interp)
+    return _resample_to(vol, resampled_dims(vol.dims, vol.spacing, target_spacing),
+                        target_spacing, interp)
+
+
+def resampled_dims(dims, spacing, target_spacing) -> tuple:
+    """Round-half-up of ``dims * spacing / target_spacing``: resample's output dims."""
+    return tuple(int(np.floor(d * s / t + 0.5)) for d, s, t in zip(dims, spacing, target_spacing))
 
 
 def _resample_to(vol: Volume, out_dims, target_spacing, interp: str) -> Volume:

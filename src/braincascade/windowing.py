@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
+# unused: bench/tracing.py patches this name; it goes with ROADMAP item 1
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,14 +94,14 @@ def _region_overlaps(plan: WindowPlan):
 
 
 def run_windows(vol: Volume, plan: WindowPlan, predictor: Predictor,
-                mode: str = "sum", threads: int = 1) -> Volume:
+                mode: str = "sum") -> Volume:
     """Predict every window and accumulate into a region-sized map.
 
     mode="sum" adds overlapping predictions; mode="mean" divides each voxel
     by its coverage count. Windows reaching past the volume are zero-padded
-    on input and the out-of-region output portion is discarded. Predictions
-    may run in parallel but are always reduced in lexicographic origin
-    order, so the result is bit-identical for any thread count.
+    on input and the out-of-region output portion is discarded. Windows run
+    one at a time in ``plan.origins`` (lexicographic) order, each prediction
+    added into the map as it returns, so the result is bit-identical run to run.
     """
     if mode not in ("sum", "mean"):
         raise ValueError(f"unknown accumulation mode {mode!r}")
@@ -109,23 +110,13 @@ def run_windows(vol: Volume, plan: WindowPlan, predictor: Predictor,
             f"predictor window {predictor.window} != plan window {plan.window}"
         )
     shape = (plan.window,) * 3
-
-    def one(origin):
+    acc = np.zeros(plan.region.shape, dtype=np.float32)
+    for origin, overlap in zip(plan.origins, _region_overlaps(plan)):
         patch = Volume(read_box(vol.data, origin, shape, np.float32), vol.spacing, vol.kind)
         try:
-            return predictor.predict(patch, origin)
+            pred = predictor.predict(patch, origin)
         except Exception as e:
             raise WindowError(f"prediction failed at window origin {origin}: {e}") from e
-
-    origins = plan.origins
-    if threads > 1 and len(origins) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, origins))
-    else:
-        results = [one(o) for o in origins]
-
-    acc = np.zeros(plan.region.shape, dtype=np.float32)
-    for overlap, pred in zip(_region_overlaps(plan), results):
         if overlap is not None:
             acc[overlap[0]] += pred.data[overlap[1]]
 

@@ -115,7 +115,7 @@ def test_criterion_4_determinism(tmp_path):
 
     extract_configs = [
         ("oracle-default", (192,) * 3,
-         lambda gt, t: cascade.default_oracle_config(gt, threads=t)),
+         lambda gt, t: cascade.default_oracle_config(gt)),
         ("noisy-flips", (96,) * 3,
          lambda gt, t: cascade.default_noisy_config(
              gt, NoiseSpec(per_voxel_fp=0.05), master_seed=1, threads=t)),

@@ -134,7 +134,8 @@ class TestDfsRefine:
         config = small_oracle_config(gt)
         box, _ = bfs_localize(img, config)
         result = dfs_refine(img, box, config)
-        votes = sum(m.data.astype(int) for m in result.stage_masks.values())
+        votes = sum(reconstruct_full(m, box, img.dims).data.astype(int)
+                    for m in result.stage_masks.values())
         assert ((result.mask.data == 1) == (votes >= 2)).all()
 
     def test_roi_volumes_non_increasing_with_oracles(self):
@@ -304,6 +305,14 @@ class TestConfig:
             config_from_dict({"predictor": {"backend": "noisy_oracle",
                                             "noise": {"per_voxel_fp": 0.1}}},
                              gt=mask(np.zeros((32, 32, 32))))
+
+    def test_connectivity_checked(self):
+        gt = mask(np.ones((32, 32, 32)))
+        with pytest.raises(ValueError, match="connectivity"):
+            CascadeConfig(bfs_stages=[oracle_stage("a", gt, 16, 8)],
+                          dfs_stages=[oracle_stage("b", gt, 16, 8)], connectivity=8)
+        with pytest.raises(ValueError, match="'connectivity'"):
+            config_from_dict({"connectivity": "26"})
 
     def test_from_dict_every_documented_key_accepted(self):
         # the README's example, with a constant predictor in place of the oracle

@@ -67,6 +67,17 @@ class TestExtract:
         assert trace["status"] == "ok"
         assert trace["roi_trace"][0]["stage"] == "bfs"
 
+    def test_threads_flag_has_no_effect(self, tmp_path, phantom_files):
+        img_path, gt_path = phantom_files
+        cfg = oracle_config(tmp_path, gt_path)
+        outs = []
+        for threads in ("1", "4"):
+            out = tmp_path / f"mask{threads}.nii"
+            assert main(["extract", str(img_path), "--config", str(cfg), "--out", str(out),
+                         "--side", "96", "--threads", threads]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_missing_input(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text("{}")
@@ -226,6 +237,24 @@ class TestConfigErrors:
         code = self.extract(tmp_path, phantom_files, cfg)
         assert code == 1
         self.one_line_error(capsys, *names)
+
+    @pytest.mark.parametrize("cfg,names", [
+        ({"alpha": "0.5"}, ("'alpha'", "top level", "number")),
+        ({"bfs_stages": [{"window": "32", "step": 32}]}, ("'window'", "bfs_stages[0]", "integer")),
+        ({"connectivity": "26"}, ("'connectivity'", "top level", "integer")),
+        ({"dfs_stages": [{"model": "B", "predictor": {"backend": "constant", "value": "1"}}]},
+         ("'value'", "dfs_stages[0].predictor")),
+    ])
+    def test_wrong_scalar_type(self, tmp_path, phantom_files, capsys, cfg, names):
+        code = self.extract(tmp_path, phantom_files, cfg)
+        assert code == 1
+        self.one_line_error(capsys, *names)
+
+    def test_external_command_string(self, tmp_path, phantom_files, capsys):
+        cfg = {"predictor": {"backend": "external", "command": "python3 server.py"}}
+        code = self.extract(tmp_path, phantom_files, cfg)
+        assert code == 1
+        self.one_line_error(capsys, "stage A", "list of strings")
 
     def test_unknown_noise_key(self, capsys):
         code = main(["simulate", "--seeds", "1", "--noise-spec", '{"bogus": 1}'])

@@ -126,16 +126,29 @@ class TestRunWindows:
         out = run_windows(vol, plan, ConstantPredictor(0.5, 32))
         assert out.dims == region.shape
 
-    def test_thread_count_bit_identical(self, rng):
+    def test_repeat_runs_bit_identical(self, rng):
         gt = random_mask(rng, (64, 64, 64))
         vol = intensity(rng.random((64, 64, 64)))
         plan = plan_windows(BoundingBox.full(vol.dims), 32, 16)
         noise = NoiseSpec(per_voxel_fp=0.1, fp_blob_rate=1.0)
         pred = NoisyOraclePredictor(gt, 32, noise, model_seed=3)
-        single = run_windows(vol, plan, pred, mode="sum", threads=1)
-        for threads in (2, 8):
-            multi = run_windows(vol, plan, pred, mode="sum", threads=threads)
-            assert np.array_equal(single.data, multi.data)
+        first = run_windows(vol, plan, pred, mode="sum")
+        for _ in range(2):
+            assert np.array_equal(first.data, run_windows(vol, plan, pred, mode="sum").data)
+
+    def test_predicts_each_origin_once_in_plan_order(self, rng):
+        class Recording(Predictor):
+            def _predict(self, patch, origin):
+                seen.append(origin)
+                return np.full(patch.dims, 0.5, dtype=np.float32)
+
+        seen = []
+        vol = intensity(rng.random((40, 40, 40)))
+        region = BoundingBox((4, 0, 10), (40, 30, 40))
+        plan = snap_plan_into(plan_windows(region, 16, 8), vol.dims)
+        run_windows(vol, plan, Recording("rec", 16))
+        assert len(plan.origins) == 36
+        assert seen == plan.origins
 
     def test_predictor_failure_names_origin(self):
         class Exploding(Predictor):
