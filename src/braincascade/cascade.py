@@ -12,7 +12,8 @@ is zero outside it) and zero-padded to full size once.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+import json
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from numbers import Integral, Real
 
 import numpy as np
@@ -35,21 +36,20 @@ STATUS_NO_BRAIN = "no_brain_found"
 
 @dataclass(frozen=True)
 class StageSpec:
-    """One sliding-window pass: a predictor plus its window and step."""
+    """One sliding-window pass: a predictor and a step; the window is the
+    predictor's."""
 
     name: str
     predictor: Predictor
-    window: int
     step: int
+
+    @property
+    def window(self) -> int:
+        return self.predictor.window
 
     def __post_init__(self):
         if not 1 <= self.step <= self.window:
             raise ValueError(f"stage {self.name}: need 1 <= step <= window")
-        if self.predictor.window != self.window:
-            raise ValueError(
-                f"stage {self.name}: predictor window {self.predictor.window} "
-                f"!= stage window {self.window}"
-            )
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,10 @@ class CascadeConfig:
             raise ValueError("accumulate_mode must be 'sum' or 'mean'")
 
     def close(self):
-        """Release every stage's predictor (external model processes)."""
-        for stage in self.bfs_stages + self.dfs_stages:
-            stage.predictor.close()
+        """Release each predictor (external model processes) once, however
+        many stages share it."""
+        for predictor in dict.fromkeys(s.predictor for s in self.bfs_stages + self.dfs_stages):
+            predictor.close()
 
 
 @dataclass(frozen=True)
@@ -214,12 +215,25 @@ def single_pass_extract(vol: Volume, stage: StageSpec, alpha: float = 0.2, mode:
 # -- configuration -----------------------------------------------------------
 
 CONFIG_SCHEMA_VERSION = 1
-# noisy-oracle model seed of each model letter: stages of one model share
-# a noise stream, different models draw independent ones
+# noisy-oracle model seed of each model letter: the stages of one model share
+# its predictor, so its noise stream; different models draw independent ones
 MODEL_SEEDS = {"A": 1, "B": 2, "C": 3, "D": 4}
-# scalar type, as annotated -> (the values it accepts, its name in errors)
-_SCALARS = {"int": (Integral, "an integer"), "float": (Real, "a number"), "str": (str, "a string")}
-# accepted keys per level, each with its type; only _SCALARS are checked here,
+
+
+def _is_number(v, kind=Real) -> bool:
+    # JSON true/false arrive as bool, which Python counts as an integer
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
+# type, as annotated -> (test of a value, its name in errors)
+_TYPES = {
+    "int": (lambda v: _is_number(v, Integral), "an integer"),
+    "float": (_is_number, "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple[float, float]": (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+                            and all(map(_is_number, v)), "a list of two numbers"),
+}
+# accepted keys per level, each with its type; only _TYPES are checked here,
 # lists and objects where they are read; "gt" is read by the CLI, not here
 _NOISE_KEYS = {f.name: f.type for f in fields(NoiseSpec)}
 _CONFIG_KEYS = {f.name: f.type for f in fields(CascadeConfig) if not f.name.endswith("_stages")}
@@ -234,22 +248,32 @@ _BACKEND_KEYS = {
 }
 
 
-def _check_object(obj, keys: dict, where: str) -> dict:
-    """``obj`` itself if it is a JSON object holding only the given keys,
-    each scalar of the type ``keys`` gives it."""
+def _check_object(obj, keys: dict, where: str, required=()) -> dict:
+    """``obj`` itself if it is a JSON object holding the ``required`` keys and
+    no key outside ``keys``, each value of the type ``keys`` gives it."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where} must be a JSON object, got {type(obj).__name__}")
     unknown = [k for k in obj if k not in keys]
     if unknown:
         raise ValueError(f"{where}: unknown key {', '.join(map(repr, unknown))} "
                          f"(accepted: {', '.join(keys)})")
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise ValueError(f"{where}: missing key {', '.join(map(repr, missing))}")
     for k, v in obj.items():
-        if keys[k] in _SCALARS:
-            accepted, name = _SCALARS[keys[k]]
-            # JSON true/false arrive as bool, which Python counts as an integer
-            if isinstance(v, bool) or not isinstance(v, accepted):
+        if keys[k] in _TYPES:
+            accepted, name = _TYPES[keys[k]]
+            if not accepted(v):
                 raise ValueError(f"{where}: {k!r} must be {name}, got {type(v).__name__} {v!r}")
     return obj
+
+
+def from_json(cls, obj, where: str):
+    """A ``cls`` dataclass from a JSON object keyed by its fields, each value
+    checked against the field's annotated type."""
+    keys = {f.name: f.type for f in fields(cls)}
+    required = [f.name for f in fields(cls) if f.default is MISSING]
+    return cls(**_check_object(obj, keys, where, required))
 
 
 def _check_predictor(spec, where: str) -> dict:
@@ -267,17 +291,15 @@ def _check_predictor(spec, where: str) -> dict:
 
 def _build_predictor(spec: dict, window: int, name: str, model: str,
                      gt: Volume | None, master_seed: int) -> Predictor:
-    """One stage's predictor from a checked spec; ``model`` is its model
+    """One model's predictor from a checked spec; ``model`` is its model
     letter or, lacking one, its name, and picks the noisy oracle's default
     model seed."""
     backend = spec.get("backend", "constant")
+    if backend in ("oracle", "noisy_oracle") and gt is None:
+        raise ValueError(f"stage {name}: {backend} backend needs ground truth")
     if backend == "oracle":
-        if gt is None:
-            raise ValueError(f"stage {name}: oracle backend needs ground truth")
         return OraclePredictor(gt, window, id=name)
     if backend == "noisy_oracle":
-        if gt is None:
-            raise ValueError(f"stage {name}: noisy_oracle backend needs ground truth")
         noise = NoiseSpec(**{k: spec[k] for k in _NOISE_KEYS if k in spec})
         return NoisyOraclePredictor(gt, window, noise,
                                     model_seed=spec.get("model_seed", MODEL_SEEDS.get(model, 0)),
@@ -295,6 +317,8 @@ def config_from_dict(d: dict, gt: Volume | None = None, master_seed: int = 0) ->
     """Build a runnable configuration from the JSON config schema.
 
     Stages default to the paper's roster: localization A+D, refinement B,C,D.
+    Stages with the same predictor spec, window, name and model letter share
+    one predictor, so the default roster's two D stages run one model.
     A key the schema does not know, or a value of another type than the key
     takes, is a ValueError naming the key and where it sits.
     """
@@ -303,7 +327,8 @@ def config_from_dict(d: dict, gt: Volume | None = None, master_seed: int = 0) ->
     if version != CONFIG_SCHEMA_VERSION:
         raise ValueError(f"unsupported config schema version {version}")
     default_spec = _check_predictor(d.get("predictor", {"backend": "constant"}), "predictor")
-    built: list[Predictor] = []  # closed again if a later stage fails
+    # (spec, window, name, model) -> its predictor; closed again if a later stage fails
+    built: dict[tuple, Predictor] = {}
 
     def stages(key, default_models):
         specs = d.get(key)
@@ -326,9 +351,10 @@ def config_from_dict(d: dict, gt: Volume | None = None, master_seed: int = 0) ->
             if window is None or step is None:
                 raise ValueError(f"{where} needs a model letter or window+step")
             name = s.get("name", model or f"w{window}")
-            pred = _build_predictor(spec, window, name, model or name, gt, master_seed)
-            built.append(pred)
-            out.append(StageSpec(name, pred, window, step))
+            key = (json.dumps(spec, sort_keys=True), window, name, model or name)
+            if key not in built:
+                built[key] = _build_predictor(spec, window, name, model or name, gt, master_seed)
+            out.append(StageSpec(name, built[key], step))
         return out
 
     try:
@@ -338,7 +364,7 @@ def config_from_dict(d: dict, gt: Volume | None = None, master_seed: int = 0) ->
             **{k: d[k] for k in _CONFIG_KEYS if k in d},
         )
     except BaseException:
-        for pred in built:
+        for pred in built.values():
             pred.close()
         raise
 

@@ -16,7 +16,7 @@ from .cascade import STATUS_NO_BRAIN, single_pass_extract
 from .predictor import NoiseSpec, PredictorError
 from .synth import MODEL_PARAMS, MODEL_STEPS
 from .volume import BoundingBox, Kind, Volume
-from .windowing import WindowError, coverage_counts, plan_windows
+from .windowing import coverage_counts, plan_windows
 
 DEFAULT_CONFIG_ENV = "BRAINCASCADE_CONFIG"
 # extract and simulate keep --threads, which has no effect, so that old
@@ -41,14 +41,6 @@ def _fail(msg: str, code: int = 1) -> int:
 def _load_json(path):
     with open(path) as f:
         return json.load(f)
-
-
-def _from_json(cls, d: dict, what: str):
-    """Build a dataclass from JSON keys; a wrong key is a ValueError naming it."""
-    try:
-        return cls(**d)
-    except TypeError as e:
-        raise ValueError(f"{what}: {e}") from e
 
 
 def _substream(master_seed: int, label: str, *extra) -> np.random.Generator:
@@ -120,7 +112,7 @@ def cmd_synth(args) -> int:
             return _fail(f"unknown model {args.model!r}, expected one of A B C D")
         params = MODEL_PARAMS[args.model]
     elif args.params:
-        params = _from_json(synth.SynthesisParams, _load_json(args.params), args.params)
+        params = cascade.from_json(synth.SynthesisParams, _load_json(args.params), args.params)
     else:
         return _fail("one of --model or --params is required")
 
@@ -187,7 +179,7 @@ def cmd_simulate(args) -> int:
         spec_dict = json.loads(args.noise_spec)
     else:
         spec_dict = {}
-    noise = _from_json(NoiseSpec, spec_dict, "--noise-spec")
+    noise = cascade.from_json(NoiseSpec, spec_dict, "--noise-spec")
 
     rows = []
     for k in range(args.seeds):
@@ -318,7 +310,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, io_nifti.NiftiError, PredictorError, WindowError) as e:
+    except (OSError, ValueError, io_nifti.NiftiError, PredictorError) as e:
         return _fail(str(e))
 
 

@@ -70,7 +70,8 @@ class Predictor:
                 f"{self.id}: patch dims {patch.dims} != window ({w},{w},{w})"
             )
         out = self._predict(patch, tuple(int(o) for o in origin))
-        return Volume(np.clip(out, 0.0, 1.0).astype(np.float32), patch.spacing, Kind.PROBABILITY)
+        return Volume(np.clip(out, 0.0, 1.0).astype(np.float32, copy=False), patch.spacing,
+                      Kind.PROBABILITY)
 
     def _predict(self, patch: Volume, origin) -> np.ndarray:
         raise NotImplementedError
@@ -88,19 +89,6 @@ class ConstantPredictor(Predictor):
 
     def _predict(self, patch, origin):
         return np.full(patch.dims, self.value, dtype=np.float32)
-
-
-class OraclePredictor(Predictor):
-    """Perfect predictor returning the ground-truth mask inside the patch."""
-
-    def __init__(self, gt: Volume, window: int, id: str = "oracle"):
-        super().__init__(id, window)
-        if gt.kind is not Kind.MASK:
-            raise ValueError("oracle ground truth must be a mask volume")
-        self.gt = gt
-
-    def _predict(self, patch, origin):
-        return read_box(self.gt.data, origin, (self.window,) * 3, np.float32)
 
 
 class NoisyOraclePredictor(Predictor):
@@ -161,6 +149,14 @@ class NoisyOraclePredictor(Predictor):
         if self.noise.fn_hole_rate > 0:
             self._spheres(out, origin, self.noise.fn_hole_rate, 0x401E, 0.0)
         return out
+
+
+class OraclePredictor(NoisyOraclePredictor):
+    """Perfect predictor returning the ground-truth mask inside the patch: the
+    noisy oracle with no noise."""
+
+    def __init__(self, gt: Volume, window: int, id: str = "oracle"):
+        super().__init__(gt, window, NoiseSpec(), model_seed=0, id=id)
 
 
 class ExternalPredictor(Predictor):
@@ -247,10 +243,15 @@ class ExternalPredictor(Predictor):
         return np.frombuffer(raw, dtype="<f4").reshape((w, w, w))
 
     def close(self):
-        if self._proc.poll() is None:
+        """End the child's input, reap it (killed after 2 s) and close both
+        pipes, whether it is alive, exited or killed; a second call does nothing."""
+        try:
             self._proc.stdin.close()
-            try:
-                self._proc.wait(timeout=2)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
+        except OSError:
+            pass  # bytes left unsent to a dead child; the pipe is closed anyway
+        try:
+            self._proc.wait(timeout=2)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+        self._proc.stdout.close()

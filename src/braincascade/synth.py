@@ -143,16 +143,24 @@ def upsample_linear(grid: np.ndarray, dims) -> np.ndarray:
     return out
 
 
+def _linear_axes(mat: np.ndarray, rel, out=None):
+    """Rows of ``mat @ x`` over the grid that the 1-D axes ``rel`` span,
+    yielded one at a time (into ``out[i]`` if given), each summed from the
+    broadcast axes."""
+    rel = [r.reshape([-1 if b == a else 1 for b in range(3)]) for a, r in enumerate(rel)]
+    for i in range(3):
+        yield np.add(mat[i, 0] * rel[0] + mat[i, 1] * rel[1], mat[i, 2] * rel[2],
+                     out=None if out is None else out[i])
+
+
 def _affine_grid(dims, inv: np.ndarray, center: np.ndarray,
                  shift_vox: np.ndarray) -> np.ndarray:
     """Input coordinates ``inv @ (x - center - shift) + center`` of every
-    output voxel x, shape (3, *dims), summed from broadcast 1-D axes."""
-    rel = [(np.arange(n, dtype=np.float64) - center[a] - shift_vox[a]).reshape(
-               [-1 if b == a else 1 for b in range(3)]) for a, n in enumerate(dims)]
+    output voxel x, shape (3, *dims)."""
+    rel = [np.arange(n, dtype=np.float64) - center[a] - shift_vox[a] for a, n in enumerate(dims)]
     coords = np.empty((3, *dims))
-    for i in range(3):
-        np.add(inv[i, 0] * rel[0] + inv[i, 1] * rel[1], inv[i, 2] * rel[2], out=coords[i])
-        coords[i] += center[i]
+    for row, c in zip(_linear_axes(inv, rel, coords), center):
+        row += c
     return coords
 
 
@@ -222,12 +230,9 @@ def add_random_shapes(lm: Volume, n: int, rng: np.random.Generator) -> Volume:
         if (mins >= maxs).any():
             continue
         sl = tuple(slice(a, b) for a, b in zip(mins, maxs))
-        grids = np.ogrid[sl]
-        rel = [np.broadcast_to((g - c), tuple(b - a for a, b in zip(mins, maxs)))
-               for g, c in zip(grids, center)]
-        rot = _rotation_matrix(angles)
-        local = np.einsum("ij,jxyz->ixyz", rot.T, np.stack(rel))
-        q = sum((local[i] / radii[i]) ** 2 for i in range(3))
+        rel = [np.arange(a, b) - c for a, b, c in zip(mins, maxs, center)]
+        local = _linear_axes(_rotation_matrix(angles).T, rel)
+        q = sum((x / r) ** 2 for x, r in zip(local, radii))
         if blobby:
             noise = rng.standard_normal(q.shape)
             noise = ndimage.gaussian_filter(noise, sigma=max(rmax / 4.0, 1.0))

@@ -9,12 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .predictor import Predictor
+from .predictor import Predictor, PredictorError
 from .volume import BoundingBox, Kind, Volume, overlap_slices, read_box
-
-
-class WindowError(Exception):
-    """Prediction failure for a specific window; names the origin."""
 
 
 @dataclass(frozen=True)
@@ -102,6 +98,7 @@ def run_windows(vol: Volume, plan: WindowPlan, predictor: Predictor,
     on input and the out-of-region output portion is discarded. Windows run
     one at a time in ``plan.origins`` (lexicographic) order, each prediction
     added into the map as it returns, so the result is bit-identical run to run.
+    A failed prediction is a PredictorError naming the window origin.
     """
     if mode not in ("sum", "mean"):
         raise ValueError(f"unknown accumulation mode {mode!r}")
@@ -116,7 +113,7 @@ def run_windows(vol: Volume, plan: WindowPlan, predictor: Predictor,
         try:
             pred = predictor.predict(patch, origin)
         except Exception as e:
-            raise WindowError(f"prediction failed at window origin {origin}: {e}") from e
+            raise PredictorError(f"prediction failed at window origin {origin}: {e}") from e
         if overlap is not None:
             acc[overlap[0]] += pred.data[overlap[1]]
 

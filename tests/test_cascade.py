@@ -1,5 +1,6 @@
 import hashlib
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -33,7 +34,7 @@ def phantom_case(seed, dims=(192, 192, 192)):
 
 
 def oracle_stage(name, gt, window, step):
-    return StageSpec(name, OraclePredictor(gt, window, id=name), window, step)
+    return StageSpec(name, OraclePredictor(gt, window, id=name), step)
 
 
 def small_oracle_config(gt, **overrides):
@@ -82,8 +83,8 @@ class TestBfsLocalize:
     def test_zero_predictors_no_brain(self):
         img = intensity(np.zeros((64, 64, 64)))
         config = CascadeConfig(
-            bfs_stages=[StageSpec("z", ConstantPredictor(0.0, 32), 32, 32)],
-            dfs_stages=[StageSpec("z2", ConstantPredictor(0.0, 16), 16, 16)],
+            bfs_stages=[StageSpec("z", ConstantPredictor(0.0, 32), 32)],
+            dfs_stages=[StageSpec("z2", ConstantPredictor(0.0, 16), 16)],
         )
         box, status = bfs_localize(img, config)
         assert status == STATUS_NO_BRAIN and box is None
@@ -121,8 +122,8 @@ class TestDfsRefine:
         gt = mask(np.ones((64, 64, 64)))
         config = CascadeConfig(
             bfs_stages=[oracle_stage("a", gt, 32, 32)],
-            dfs_stages=[StageSpec("z", ConstantPredictor(0.0, 32), 32, 16),
-                        StageSpec("z2", ConstantPredictor(0.0, 16), 16, 8)],
+            dfs_stages=[StageSpec("z", ConstantPredictor(0.0, 32), 16),
+                        StageSpec("z2", ConstantPredictor(0.0, 16), 8)],
         )
         box, _ = bfs_localize(img, config)
         result = dfs_refine(img, box, config)
@@ -158,8 +159,8 @@ class TestExtractBrain:
     def test_all_zero_predictors(self):
         img = intensity(np.zeros((64, 64, 64)))
         config = CascadeConfig(
-            bfs_stages=[StageSpec("z", ConstantPredictor(0.0, 32), 32, 32)],
-            dfs_stages=[StageSpec("z2", ConstantPredictor(0.0, 16), 16, 16)],
+            bfs_stages=[StageSpec("z", ConstantPredictor(0.0, 32), 32)],
+            dfs_stages=[StageSpec("z2", ConstantPredictor(0.0, 16), 16)],
         )
         result = extract_brain(img, config, conform_side=64)
         assert result.status == STATUS_NO_BRAIN
@@ -218,7 +219,7 @@ class TestMaskDigests:
         def stage(name, window, step):
             pred = NoisyOraclePredictor(gt, window, noise, model_seed=seeds[name],
                                         master_seed=7, id=name)
-            return StageSpec(name, pred, window, step)
+            return StageSpec(name, pred, step)
 
         config = small_oracle_config(
             gt,
@@ -258,7 +259,68 @@ class TestConfig:
     def test_step_bounds_enforced(self):
         gt = mask(np.ones((32, 32, 32)))
         with pytest.raises(ValueError):
-            StageSpec("x", OraclePredictor(gt, 16), 16, 32)
+            StageSpec("x", OraclePredictor(gt, 16), 32)
+
+    def test_stage_window_is_predictor_window(self):
+        stage = StageSpec("x", ConstantPredictor(0.5, 24), 8)
+        assert stage.window == 24
+        with pytest.raises(AttributeError):
+            stage.window = 16
+
+    def test_default_roster_one_predictor_per_model(self):
+        config = config_from_dict({})
+        stages = config.bfs_stages + config.dfs_stages
+        assert len({id(s.predictor) for s in stages}) == 4
+        assert config.bfs_stages[1].predictor is config.dfs_stages[2].predictor
+        assert [s.predictor.id for s in stages] == ["A", "D", "B", "C", "D"]
+
+    def test_close_closes_each_predictor_once(self, monkeypatch):
+        closed = []
+        monkeypatch.setattr(ConstantPredictor, "close", lambda self: closed.append(self.id))
+        config_from_dict({}).close()
+        assert sorted(closed) == ["A", "B", "C", "D"]
+
+    def test_different_predictor_specs_not_shared(self):
+        config = config_from_dict({
+            "bfs_stages": [{"model": "A"}, {"model": "D"}],
+            "dfs_stages": [{"model": "B"}, {"model": "C"},
+                           {"model": "D", "predictor": {"backend": "constant", "value": 0.5}}],
+        })
+        bfs_d, dfs_d = config.bfs_stages[1].predictor, config.dfs_stages[2].predictor
+        assert bfs_d is not dfs_d
+        assert (bfs_d.value, dfs_d.value) == (0.0, 0.5)
+        # an equal spec given twice is one predictor
+        same = {"backend": "constant", "value": 0.5}
+        config = config_from_dict({"bfs_stages": [{"model": "D", "predictor": same}],
+                                   "dfs_stages": [{"model": "D", "predictor": dict(same)}]})
+        assert config.bfs_stages[0].predictor is config.dfs_stages[0].predictor
+
+    def test_same_model_other_step_shares(self):
+        config = config_from_dict({"bfs_stages": [{"model": "D", "step": 16}],
+                                   "dfs_stages": [{"model": "D"}]})
+        assert config.bfs_stages[0].predictor is config.dfs_stages[0].predictor
+        assert (config.bfs_stages[0].step, config.dfs_stages[0].step) == (16, 32)
+
+    @pytest.mark.skipif(not os.path.exists(SERVER), reason="fixture server missing")
+    def test_default_external_roster_starts_four_processes(self, monkeypatch):
+        started = []
+        real_popen = subprocess.Popen
+
+        def popen(*args, **kwargs):
+            started.append(args[0])
+            return real_popen(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", popen)
+        config = config_from_dict({"predictor": {
+            "backend": "external", "timeout": 10.0,
+            "command": [sys.executable, SERVER, "constant"]}})
+        try:
+            assert len(started) == 4
+            procs = {s.predictor._proc for s in config.bfs_stages + config.dfs_stages}
+            assert len(procs) == 4
+        finally:
+            config.close()
+        assert all(p.poll() is not None for p in procs)
 
     def test_from_dict_defaults(self):
         gt = mask(np.ones((192, 192, 192)))

@@ -269,6 +269,43 @@ class TestConfigErrors:
         assert code == 1
         self.one_line_error(capsys, "bogus")
 
+    def synth_params(self, tmp_path, **change):
+        params = dict(dataclasses.asdict(synth.MODEL_PARAMS["D"]), **change)
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({k: v for k, v in params.items() if v is not None}))
+        return main(["synth", "--params", str(path), "--outdir", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("change,names", [
+        ({"n_shapes": 2.5}, ("'n_shapes'", "integer")),
+        ({"window": 64.5}, ("'window'", "integer")),
+        ({"blur_sd_max": "0.1"}, ("'blur_sd_max'", "number")),
+        ({"downsample_factor_max": True}, ("'downsample_factor_max'", "integer")),
+    ])
+    def test_wrong_synth_param_type(self, tmp_path, capsys, change, names):
+        assert self.synth_params(tmp_path, **change) == 1
+        self.one_line_error(capsys, "params.json", *names)
+
+    def test_missing_synth_param(self, tmp_path, capsys):
+        assert self.synth_params(tmp_path, n_shapes=None) == 1
+        self.one_line_error(capsys, "params.json", "missing", "'n_shapes'")
+
+    @pytest.mark.parametrize("spec,names", [
+        ('{"per_voxel_fp": "0.1"}', ("'per_voxel_fp'", "number")),
+        ('{"fp_blob_radius": 3}', ("'fp_blob_radius'", "two numbers")),
+        ('{"fp_blob_radius": [2, 3, 4]}', ("'fp_blob_radius'", "two numbers")),
+        ('{"seed_offset": 1.5}', ("'seed_offset'", "integer")),
+        ('[0.1]', ("--noise-spec", "object")),
+    ])
+    def test_wrong_noise_type(self, capsys, spec, names):
+        assert main(["simulate", "--seeds", "1", "--noise-spec", spec]) == 1
+        self.one_line_error(capsys, "--noise-spec", *names)
+
+    @pytest.mark.parametrize("radius", [3, [2], ["2", "3"], {"lo": 2}])
+    def test_noisy_oracle_radius_not_a_pair(self, tmp_path, phantom_files, capsys, radius):
+        cfg = {"predictor": {"backend": "noisy_oracle", "fp_blob_radius": radius}}
+        assert self.extract(tmp_path, phantom_files, cfg) == 1
+        self.one_line_error(capsys, "predictor", "'fp_blob_radius'", "two numbers")
+
 
 class TestSynth:
     def test_model_d_output(self, tmp_path):

@@ -202,6 +202,34 @@ class TestExternal:
             h.close()
         assert h._proc.poll() is not None  # the hung process was reaped
 
+    @staticmethod
+    def assert_closed(h):
+        assert h._proc.poll() is not None
+        assert h._proc.stdin.closed and h._proc.stdout.closed
+        h.close()  # a second close is harmless
+        assert h._proc.stdin.closed and h._proc.stdout.closed
+
+    def test_close_after_normal_use(self):
+        h = ExternalPredictor(self.server("constant"), 8, timeout=10)
+        h.predict(zero_patch(8), (0, 0, 0))
+        h.close()
+        self.assert_closed(h)
+
+    def test_close_after_child_died(self):
+        h = ExternalPredictor(self.server("die"), 8, timeout=10)
+        with pytest.raises(PredictorError):
+            h.predict(zero_patch(8), (0, 0, 0))
+        h._proc.wait(timeout=5)
+        h.close()
+        self.assert_closed(h)
+
+    def test_close_after_timeout_kill(self):
+        h = ExternalPredictor(self.server("hang"), 8, timeout=0.5)
+        with pytest.raises(PredictorError, match="timeout"):
+            h.predict(zero_patch(8), (0, 0, 0))
+        h.close()
+        self.assert_closed(h)
+
     def test_unspawnable_command(self):
         with pytest.raises(PredictorError):
             ExternalPredictor(["/nonexistent/binary"], 8)

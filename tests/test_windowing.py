@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from braincascade.predictor import ConstantPredictor, NoiseSpec, NoisyOraclePredictor, Predictor
+from braincascade.predictor import (
+    ConstantPredictor, NoiseSpec, NoisyOraclePredictor, Predictor, PredictorError,
+)
 from braincascade.volume import BoundingBox, Kind, Volume
 from braincascade.windowing import (
-    WindowError, coverage_counts, plan_windows, run_windows, snap_plan_into,
+    coverage_counts, plan_windows, run_windows, snap_plan_into,
 )
 from conftest import intensity, random_mask
 
@@ -159,7 +161,7 @@ class TestRunWindows:
 
         vol = intensity(np.zeros((64, 64, 64)))
         plan = plan_windows(BoundingBox.full(vol.dims), 32, 32)
-        with pytest.raises(WindowError, match=r"\(32, 0, 0\)"):
+        with pytest.raises(PredictorError, match=r"\(32, 0, 0\)"):
             run_windows(vol, plan, Exploding("x", 32))
 
     def test_window_mismatch_rejected(self):
