@@ -72,8 +72,7 @@ def connected_components(mask: Volume, connectivity: int = 26) -> LabeledCompone
         labels = remap[raw]
         seq = remap[seq]
     sizes = np.bincount(seq, minlength=k + 1)[1:]
-    return LabeledComponents(Volume(labels, mask.spacing, Kind.LABEL),
-                             [int(s) for s in sizes])
+    return LabeledComponents(Volume(labels, mask.spacing, Kind.LABEL), sizes.tolist())
 
 
 def largest_component(c: LabeledComponents) -> Volume:

@@ -11,6 +11,7 @@ backends can look up ground truth at the right location.
 
 from __future__ import annotations
 
+import math
 import os
 import select
 import struct
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import Kind, Volume, read_box
+from .volume import Kind, Volume, box_view, read_box
 
 PROTOCOL_MAGIC = b"CPRD"
 PROTOCOL_VERSION = 1
@@ -52,10 +53,26 @@ class NoiseSpec:
             raise ValueError("noise rates must be non-negative")
         if not self.per_voxel_fp < 1:
             raise ValueError("per_voxel_fp must be < 1")
+        if not all(math.isfinite(r) for r in self.fp_blob_radius):
+            raise ValueError("fp_blob_radius must be finite")
+
+
+def _squared_distances(box, center) -> np.ndarray:
+    """Squared distance from ``center`` of each voxel of ``box`` (one
+    ``(lo, hi)`` pair per axis), summed in axis order 0, 1, 2."""
+    sq = [(np.arange(a, b) - c) ** 2 for (a, b), c in zip(box, center)]
+    return sq[0][:, None, None] + sq[1][:, None] + sq[2]
 
 
 class Predictor:
-    """Base predictor: maps a w-cube intensity patch to a probability patch."""
+    """Base predictor: maps a w-cube intensity patch to a probability patch.
+
+    Subclasses implement ``_predict(patch, origin)``. ``patch.data`` is
+    read-only (often a view of the caller's volume) and must not be written.
+    The result must be a fresh, writable array of the window's shape that no
+    one else holds: ``predict`` clips it to [0, 1] in place and hands it to
+    the caller.
+    """
 
     def __init__(self, id: str, window: int):
         if window <= 0:
@@ -69,9 +86,9 @@ class Predictor:
             raise PredictorError(
                 f"{self.id}: patch dims {patch.dims} != window ({w},{w},{w})"
             )
-        out = self._predict(patch, tuple(int(o) for o in origin))
-        return Volume(np.clip(out, 0.0, 1.0).astype(np.float32, copy=False), patch.spacing,
-                      Kind.PROBABILITY)
+        out = np.asarray(self._predict(patch, tuple(int(o) for o in origin)), np.float32)
+        np.clip(out, 0.0, 1.0, out=out)
+        return Volume(out, patch.spacing, Kind.PROBABILITY)
 
     def _predict(self, patch: Volume, origin) -> np.ndarray:
         raise NotImplementedError
@@ -128,24 +145,27 @@ class NoisyOraclePredictor(Predictor):
         w = self.window
         lo, hi = self.noise.fp_blob_radius
         for _ in range(rng.poisson(rate)):
-            center = rng.uniform(0, w, size=3)
+            center = rng.uniform(0, w, size=3).tolist()
             r = rng.uniform(lo, hi)
-            mins = np.maximum(np.floor(center - r).astype(int), 0)
-            maxs = np.minimum(np.ceil(center + r).astype(int) + 1, w)
-            if (mins >= maxs).any():
+            box = [(max(math.floor(c - r), 0), min(math.ceil(c + r) + 1, w)) for c in center]
+            if any(a >= b for a, b in box):
                 continue
-            grids = np.ogrid[mins[0]:maxs[0], mins[1]:maxs[1], mins[2]:maxs[2]]
-            d2 = sum((g - c) ** 2 for g, c in zip(grids, center))
-            region = out[mins[0]:maxs[0], mins[1]:maxs[1], mins[2]:maxs[2]]
-            region[d2 <= r * r] = value
+            region = out[tuple(slice(a, b) for a, b in box)]
+            region[_squared_distances(box, center) <= r * r] = value
 
     def _predict(self, patch, origin):
         shape = (self.window,) * 3
-        out = read_box(self.gt.data, origin, shape, np.float32)
+        gt = box_view(self.gt.data, origin, shape)
+        if gt is None:  # the window reaches past the ground truth: zero-fill
+            out = read_box(self.gt.data, origin, shape, np.float32)
+            flips = None if self._flips is None else read_box(self._flips, origin, shape)
+        else:
+            out = gt.astype(np.float32)
+            flips = None if self._flips is None else box_view(self._flips, origin, shape)
         if self.noise.fp_blob_rate > 0:
             self._spheres(out, origin, self.noise.fp_blob_rate, 0xB10B, 1.0)
-        if self._flips is not None:
-            out = np.maximum(out, read_box(self._flips, origin, shape, np.float32))
+        if flips is not None:
+            np.maximum(out, flips, out=out)
         if self.noise.fn_hole_rate > 0:
             self._spheres(out, origin, self.noise.fn_hole_rate, 0x401E, 0.0)
         return out
@@ -233,9 +253,8 @@ class ExternalPredictor(Predictor):
         with self._lock:
             try:
                 self._proc.stdin.write(struct.pack("<3q", *origin))
-                self._proc.stdin.write(
-                    np.ascontiguousarray(patch.data, dtype="<f4").tobytes()
-                )
+                body = np.ascontiguousarray(patch.data, dtype="<f4")
+                self._proc.stdin.write(memoryview(body).cast("B"))
                 self._proc.stdin.flush()
             except (BrokenPipeError, OSError) as e:
                 raise PredictorError(f"{self.id}: window {origin}: {e}") from e

@@ -183,6 +183,19 @@ def overlap_slices(mins, shape, dims):
     return tuple(src), tuple(dst)
 
 
+def box_view(data: np.ndarray, mins, shape) -> np.ndarray | None:
+    """Read-only view of a box lying wholly inside an array, else None.
+
+    The view shares memory with ``data``; a box reaching past any edge has
+    no view, and ``read_box`` copies it with zero-fill instead.
+    """
+    if any(a < 0 or a + n > d for a, n, d in zip(mins, shape, data.shape)):
+        return None
+    view = data[tuple(slice(a, a + n) for a, n in zip(mins, shape))]
+    view.flags.writeable = False
+    return view
+
+
 def read_box(data: np.ndarray, mins, shape, dtype=None) -> np.ndarray:
     """Copy a box out of an array, reading voxels outside the array as zero."""
     out = np.zeros(tuple(shape), dtype=data.dtype if dtype is None else dtype)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .predictor import Predictor, PredictorError
-from .volume import BoundingBox, Kind, Volume, overlap_slices, read_box
+from .volume import BoundingBox, Kind, Volume, box_view, overlap_slices, read_box
 
 
 @dataclass(frozen=True)
@@ -94,10 +94,12 @@ def run_windows(vol: Volume, plan: WindowPlan, predictor: Predictor,
     """Predict every window and accumulate into a region-sized map.
 
     mode="sum" adds overlapping predictions; mode="mean" divides each voxel
-    by its coverage count. Windows reaching past the volume are zero-padded
-    on input and the out-of-region output portion is discarded. Windows run
-    one at a time in ``plan.origins`` (lexicographic) order, each prediction
-    added into the map as it returns, so the result is bit-identical run to run.
+    by its coverage count. Each patch is read-only: a float32 window inside
+    the volume is a view of ``vol.data``, any other window a float32 copy,
+    zero-padded where it reaches past the volume. The out-of-region output
+    portion is discarded. Windows run one at a time in ``plan.origins``
+    (lexicographic) order, each prediction added into the map as it returns,
+    so the result is bit-identical run to run.
     A failed prediction is a PredictorError naming the window origin.
     """
     if mode not in ("sum", "mean"):
@@ -109,7 +111,11 @@ def run_windows(vol: Volume, plan: WindowPlan, predictor: Predictor,
     shape = (plan.window,) * 3
     acc = np.zeros(plan.region.shape, dtype=np.float32)
     for origin, overlap in zip(plan.origins, _region_overlaps(plan)):
-        patch = Volume(read_box(vol.data, origin, shape, np.float32), vol.spacing, vol.kind)
+        data = box_view(vol.data, origin, shape) if vol.data.dtype == np.float32 else None
+        if data is None:
+            data = read_box(vol.data, origin, shape, np.float32)
+            data.flags.writeable = False
+        patch = Volume(data, vol.spacing, vol.kind)
         try:
             pred = predictor.predict(patch, origin)
         except Exception as e:

@@ -7,9 +7,9 @@ import pytest
 
 from braincascade.predictor import (
     ConstantPredictor, ExternalPredictor, NoiseSpec, NoisyOraclePredictor,
-    OraclePredictor, PredictorError,
+    OraclePredictor, PredictorError, _squared_distances,
 )
-from braincascade.volume import Kind, Volume
+from braincascade.volume import Kind, Volume, box_view
 from conftest import intensity, mask, random_mask
 
 SERVER = os.path.join(os.path.dirname(__file__), "fixtures", "echo_server.py")
@@ -119,11 +119,43 @@ class TestNoisyOracle:
         out = h.predict(zero_patch(32), (0, 0, 0))
         assert out.data.min() >= 0.0 and out.data.max() <= 1.0
 
+    def test_calls_return_independent_arrays(self, rng):
+        gt = random_mask(rng, (48, 48, 48))
+        spec = NoiseSpec(per_voxel_fp=0.1, fp_blob_rate=1.0, fn_hole_rate=1.0)
+        h = NoisyOraclePredictor(gt, 32, spec, model_seed=2)
+        for origin in [(8, 8, 8), (0, 16, 16), (30, 0, 40)]:  # inside, inside, past the edge
+            a = h.predict(zero_patch(32), origin).data
+            b = h.predict(zero_patch(32), origin).data
+            expected = b.copy()
+            assert a.flags.writeable
+            assert not np.shares_memory(a, b)
+            assert not np.shares_memory(a, gt.data) and not np.shares_memory(a, h._flips)
+            a[...] = 0.5
+            np.testing.assert_array_equal(b, expected)
+            np.testing.assert_array_equal(h.predict(zero_patch(32), origin).data, expected)
+
+    def test_squared_distances_match_ogrid(self, rng):
+        # the ogrid formula the sphere noise used before, as the reference
+        w = 32
+        for _ in range(300):
+            center = rng.uniform(0, w, size=3)
+            r = rng.uniform(0.5, 20.0)
+            mins = np.maximum(np.floor(center - r).astype(int), 0)
+            maxs = np.minimum(np.ceil(center + r).astype(int) + 1, w)
+            grids = np.ogrid[mins[0]:maxs[0], mins[1]:maxs[1], mins[2]:maxs[2]]
+            expected = sum((g - c) ** 2 for g, c in zip(grids, center))
+            got = _squared_distances(list(zip(mins.tolist(), maxs.tolist())), center.tolist())
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             NoiseSpec(per_voxel_fp=1.0)
         with pytest.raises(ValueError):
             NoiseSpec(fp_blob_rate=-1)
+        for radius in [(3.0, float("inf")), (float("nan"), 3.0)]:
+            with pytest.raises(ValueError, match="fp_blob_radius"):
+                NoiseSpec(fp_blob_radius=radius)
 
     def test_majority_fp_rate_converges(self):
         # three independent streams voted 2-of-3: rate 3p^2(1-p) + p^3
@@ -174,6 +206,28 @@ class TestExternal:
         try:
             out = h.predict(intensity(patch), (3, 16, 40))
             np.testing.assert_array_equal(out.data, patch)
+        finally:
+            h.close()
+
+    def test_echo_of_read_only_view(self, rng):
+        # a patch that is a strided, read-only view of a larger volume
+        data = rng.random((20, 20, 20)).astype(np.float32)
+        view = box_view(data, (3, 5, 7), (8, 8, 8))
+        h = ExternalPredictor(self.server("echo"), 8, timeout=10)
+        try:
+            out = h.predict(intensity(view), (3, 5, 7))
+            np.testing.assert_array_equal(out.data, data[3:11, 5:13, 7:15])
+        finally:
+            h.close()
+
+    def test_calls_return_independent_arrays(self):
+        h = ExternalPredictor(self.server("constant", "0.5"), 8, timeout=10)
+        try:
+            a = h.predict(zero_patch(8), (0, 0, 0)).data
+            b = h.predict(zero_patch(8), (0, 0, 0)).data
+            assert a.flags.writeable and not np.shares_memory(a, b)
+            a[...] = 0.0
+            assert (b == 0.5).all()
         finally:
             h.close()
 

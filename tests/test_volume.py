@@ -3,7 +3,7 @@ import pytest
 from scipy import ndimage
 
 from braincascade.volume import (
-    Kind, Volume, conform_cube, minmax_normalize, read_box, resample,
+    Kind, Volume, box_view, conform_cube, minmax_normalize, read_box, resample,
     unconform_cube,
 )
 from conftest import intensity, mask
@@ -264,6 +264,23 @@ class TestExtractPatch:
             out = read_box(np.ones((4, 4, 4), dtype=np.uint8), mins, (2, 3, 4))
             assert out.shape == (2, 3, 4) and out.dtype == np.uint8
             assert not out.any()
+
+
+class TestBoxView:
+    """box_view: a read-only view of a box inside the array, else None."""
+
+    def test_inside_is_read_only_view(self, rng):
+        data = rng.random((10, 12, 14)).astype(np.float32)
+        for mins, shape in [((0, 0, 0), (10, 12, 14)), ((2, 3, 4), (8, 9, 10)), ((9, 0, 13), (1, 1, 1))]:
+            view = box_view(data, mins, shape)
+            assert np.shares_memory(view, data) and not view.flags.writeable
+            np.testing.assert_array_equal(view, read_box(data, mins, shape))
+        assert data.flags.writeable
+
+    def test_past_any_edge_is_none(self):
+        data = np.ones((10, 10, 10), dtype=np.uint8)
+        for mins in [(-1, 0, 0), (0, 0, -2), (5, 0, 0), (0, 4, 0), (10, 0, 0)]:
+            assert box_view(data, mins, (6, 7, 2)) is None
 
 
 class TestMinMaxNormalize:

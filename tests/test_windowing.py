@@ -1,14 +1,20 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
 from braincascade.predictor import (
-    ConstantPredictor, NoiseSpec, NoisyOraclePredictor, Predictor, PredictorError,
+    ConstantPredictor, ExternalPredictor, NoiseSpec, NoisyOraclePredictor, OraclePredictor,
+    Predictor, PredictorError,
 )
-from braincascade.volume import BoundingBox, Kind, Volume
+from braincascade.volume import BoundingBox, Kind, Volume, box_view, overlap_slices, read_box
 from braincascade.windowing import (
     coverage_counts, plan_windows, run_windows, snap_plan_into,
 )
 from conftest import intensity, random_mask
+
+SERVER = os.path.join(os.path.dirname(__file__), "fixtures", "echo_server.py")
 
 
 def enumerate_axis_origins(lo, hi, w, s):
@@ -181,3 +187,115 @@ class TestSnapPlanInto:
         plan = plan_windows(BoundingBox((0, 0, 0), (192, 192, 192)), 96, 32)
         snapped = snap_plan_into(plan, (192, 192, 192))
         assert snapped.origins == plan.origins
+
+
+def reference_run(vol, plan, predict):
+    """run_windows(mode="sum") as a plain loop: every patch a zero-filled
+    float32 read_box copy, every prediction ``predict(patch, origin)``."""
+    shape = (plan.window,) * 3
+    acc = np.zeros(plan.region.shape, dtype=np.float32)
+    for origin in plan.origins:
+        patch = Volume(read_box(vol.data, origin, shape, np.float32), vol.spacing, vol.kind)
+        out = predict(patch, origin)
+        mins = tuple(o - lo for o, lo in zip(origin, plan.region.mins))
+        overlap = overlap_slices(mins, shape, plan.region.shape)
+        if overlap is not None:
+            acc[overlap[0]] += out[overlap[1]]
+    return acc
+
+
+class Scaled(Predictor):
+    """Reads every patch voxel, and the origin; patches must be float32."""
+
+    def _predict(self, patch, origin):
+        if patch.data.dtype != np.float32:
+            raise TypeError(f"patch dtype {patch.data.dtype}")
+        return patch.data * np.float32(0.5) + np.float32(sum(origin) % 7 / 10)
+
+
+def noisy_reference(pred, origin):
+    """NoisyOraclePredictor's output from zero-filled read_box copies of the
+    ground truth and the flip field."""
+    shape = (pred.window,) * 3
+    noise = pred.noise
+    out = read_box(pred.gt.data, origin, shape, np.float32)
+    pred._spheres(out, origin, noise.fp_blob_rate, 0xB10B, 1.0)
+    out = np.maximum(out, read_box(pred._flips, origin, shape, np.float32))
+    pred._spheres(out, origin, noise.fn_hole_rate, 0x401E, 0.0)
+    return out
+
+
+class TestPatchFallbacks:
+    """Patches that are not views of the volume match a read_box loop bit for bit."""
+
+    def test_volume_smaller_than_window(self, rng):
+        vol = intensity(rng.random((20, 24, 18)))
+        gt = random_mask(rng, vol.dims)
+        noise = NoiseSpec(per_voxel_fp=0.1, fp_blob_rate=2.0, fn_hole_rate=2.0)
+        noisy = NoisyOraclePredictor(gt, 32, noise, model_seed=1)
+        plan = plan_windows(BoundingBox.full(vol.dims), 32, 8)
+        assert plan.origins == [(0, 0, 0)]
+        for pred in (Scaled("s", 32), noisy):
+            expected = reference_run(vol, plan, lambda p, o: pred.predict(p, o).data)
+            assert run_windows(vol, plan, pred).data.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
+    def test_non_float32_volume(self, rng, dtype):
+        data = rng.random((40, 40, 40)) * (1 if dtype is np.float64 else 255)
+        vol = Volume(data.astype(dtype), (1.0, 1.0, 1.0), Kind.INTENSITY)
+        pred = Scaled("s", 16)
+        for region in (BoundingBox((4, 0, 10), (40, 30, 40)), BoundingBox((30, 8, 30), (40, 40, 40))):
+            plan = plan_windows(region, 16, 12)
+            expected = reference_run(vol, plan, lambda p, o: pred.predict(p, o).data)
+            assert run_windows(vol, plan, pred).data.tobytes() == expected.tobytes()
+
+    def test_noisy_oracle_past_ground_truth_edge(self, rng):
+        gt = random_mask(rng, (48, 48, 48))
+        vol = intensity(rng.random(gt.dims))
+        noise = NoiseSpec(per_voxel_fp=0.1, fp_blob_rate=3.0, fn_hole_rate=2.0,
+                          fp_blob_radius=(2.0, 6.0))
+        pred = NoisyOraclePredictor(gt, 32, noise, model_seed=3, master_seed=5)
+        # thinner than the window on axes 0 and 2: every window crosses the edge
+        edge = BoundingBox((30, 0, 40), (48, 48, 48))
+        assert all(box_view(gt.data, o, (32,) * 3) is None for o in plan_windows(edge, 32, 12).origins)
+        for region in (edge, BoundingBox.full(gt.dims)):
+            plan = plan_windows(region, 32, 12)
+            expected = reference_run(vol, plan, lambda p, o: noisy_reference(pred, o))
+            assert run_windows(vol, plan, pred).data.tobytes() == expected.tobytes()
+
+
+class TestPatchContract:
+    def test_writing_into_patch_names_origin(self):
+        class Writing(Predictor):
+            def _predict(self, patch, origin):
+                patch.data[0, 0, 0] = 1.0
+                return np.zeros(patch.dims, dtype=np.float32)
+
+        for dtype in (np.float32, np.float64):
+            vol = Volume(np.zeros((40, 40, 40), dtype=dtype), (1.0, 1.0, 1.0), Kind.INTENSITY)
+            for region, origin in [(BoundingBox((8, 8, 8), (24, 24, 24)), r"\(8, 8, 8\)"),
+                                   (BoundingBox((30, 30, 30), (40, 40, 40)), r"\(30, 30, 30\)")]:
+                plan = plan_windows(region, 16, 16)
+                with pytest.raises(PredictorError, match=origin):
+                    run_windows(vol, plan, Writing("w", 16))
+            assert not vol.data.any() and vol.data.flags.writeable
+
+    def backends(self, gt):
+        yield ConstantPredictor(0.5, 16)
+        yield OraclePredictor(gt, 16)
+        noise = NoiseSpec(per_voxel_fp=0.1, fp_blob_rate=2.0, fn_hole_rate=2.0)
+        yield NoisyOraclePredictor(gt, 16, noise, model_seed=1)
+        if os.path.exists(SERVER):
+            yield ExternalPredictor([sys.executable, SERVER, "echo"], 16, timeout=10)
+
+    def test_volume_unchanged_by_every_backend(self, rng):
+        vol = intensity(rng.random((40, 40, 40)))
+        before = vol.data.tobytes()
+        gt = random_mask(rng, vol.dims)
+        for pred in self.backends(gt):
+            try:
+                for region in (BoundingBox.full(vol.dims), BoundingBox((30, 4, 30), (40, 40, 40))):
+                    run_windows(vol, plan_windows(region, 16, 12), pred)
+            finally:
+                pred.close()
+            assert vol.data.tobytes() == before and vol.data.flags.writeable
