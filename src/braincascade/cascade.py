@@ -67,6 +67,8 @@ class CascadeConfig:
             raise ValueError("alpha must be in [0, 1]")
         if self.connectivity not in (6, 26):
             raise ValueError(f"connectivity must be 6 or 26, got {self.connectivity!r}")
+        if not self.bfs_stages:
+            raise ValueError("at least one localization stage is required")
         if not self.dfs_stages:
             raise ValueError("at least one refinement stage is required")
         windows = [s.window for s in self.dfs_stages]
@@ -125,7 +127,7 @@ def bfs_localize(vol: Volume, config: CascadeConfig):
             combined |= above
         else:
             combined &= above
-    mask = Volume(combined.astype(np.uint8), vol.spacing, Kind.MASK)
+    mask = Volume(combined.view(np.uint8), vol.spacing, Kind.MASK)
     comps = connected_components(mask, config.connectivity)
     if not comps.sizes:
         return None, STATUS_NO_BRAIN

@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .volume import Kind, Volume
+from .volume import Volume
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ def _check_dims(a: Volume, b: Volume):
 def dice(a: Volume, b: Volume) -> float:
     """Dice overlap 2|A.B|/(|A|+|B|); two empty masks score 1.0."""
     _check_dims(a, b)
-    inter = int(np.count_nonzero(a.data & b.data))
+    inter = int(np.count_nonzero(np.logical_and(a.data, b.data)))
     total = int(np.count_nonzero(a.data)) + int(np.count_nonzero(b.data))
     if total == 0:
         return 1.0
@@ -75,8 +75,7 @@ def overlap_report(pred: Volume, gt: Volume, spacing=None) -> OverlapReport:
     neg = g.size - int(np.count_nonzero(g))
     voxel_mm3 = float(np.prod(spacing))
     return OverlapReport(
-        dice=dice(Volume(p.astype(np.uint8), gt.spacing, Kind.MASK),
-                  Volume(g.astype(np.uint8), gt.spacing, Kind.MASK)),
+        dice=dice(pred, gt),
         tp=tp, fp=fp, fn=fn,
         fp_rate=fp / neg if neg else 0.0,
         gt_voxels=int(np.count_nonzero(g)),

@@ -31,7 +31,7 @@ def threshold(p: Volume, alpha: float) -> Volume:
     """Binarize a probability map: voxel set iff value >= alpha (inclusive)."""
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
-    return Volume((p.data >= alpha).astype(np.uint8), p.spacing, Kind.MASK)
+    return Volume((p.data >= alpha).view(np.uint8), p.spacing, Kind.MASK)
 
 
 def _structure(connectivity: int) -> np.ndarray:
@@ -46,26 +46,25 @@ def connected_components(mask: Volume, connectivity: int = 26) -> LabeledCompone
     """Label connected components under 6- or 26-adjacency.
 
     Labels are renumbered to first-encounter scan order so the output is
-    deterministic regardless of the underlying labeling pass.
+    deterministic regardless of the underlying labeling pass. One component
+    is in that order already, so it skips the scan-order check.
     """
     if mask.kind is not Kind.MASK:
         raise ValueError("connected_components expects a mask volume")
-    raw, k = ndimage.label(mask.data, structure=_structure(connectivity))
-    if k == 0:
-        labels = Volume(np.zeros(mask.dims, dtype=np.int32), mask.spacing, Kind.LABEL)
-        return LabeledComponents(labels, [])
-
-    flat = raw.ravel()
-    nz = np.flatnonzero(flat)
-    seq = flat[nz]  # labels of the foreground voxels, in scan order
+    raw, k = ndimage.label(mask.data, structure=_structure(connectivity))  # int32
+    if k <= 1:  # no component, or one: already numbered in scan order
+        return LabeledComponents(Volume(raw, mask.spacing, Kind.LABEL),
+                                 [int(np.count_nonzero(mask.data))] * k)
+    # labels of the foreground voxels, in scan order
+    seq = raw[mask.data.astype(bool, copy=False)]
     # The raw labels already number components in first-encounter order iff
     # each voxel's label is at most one above every label seen before it.
     if seq[0] == 1 and (seq[1:] <= np.maximum.accumulate(seq)[:-1] + 1).all():
-        labels = raw.astype(np.int32, copy=False)
+        labels = raw
     else:
         # first occurrence index of each raw label, in scan order
-        first = np.full(k + 1, flat.size, dtype=np.int64)
-        np.minimum.at(first, seq, nz)
+        first = np.full(k + 1, raw.size, dtype=np.int64)
+        np.minimum.at(first, seq, np.flatnonzero(raw))
         order = np.argsort(first[1:], kind="stable")  # raw label -> rank
         remap = np.zeros(k + 1, dtype=np.int32)
         remap[1:][order] = np.arange(1, k + 1, dtype=np.int32)
@@ -83,7 +82,7 @@ def largest_component(c: LabeledComponents) -> Volume:
         )
     best = int(np.argmax(c.sizes)) + 1  # argmax returns first maximum
     return Volume(
-        (c.labels.data == best).astype(np.uint8), c.labels.spacing, Kind.MASK
+        (c.labels.data == best).view(np.uint8), c.labels.spacing, Kind.MASK
     )
 
 

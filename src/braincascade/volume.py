@@ -135,7 +135,7 @@ def _resample_to(vol: Volume, out_dims, target_spacing, interp: str) -> Volume:
     clamp to the edge, as ``map_coordinates`` does with ``mode="nearest"``.
     """
     if out_dims == vol.dims and tuple(target_spacing) == vol.spacing:
-        return Volume(vol.data.copy(), target_spacing, vol.kind)
+        return vol  # volumes are immutable: nothing to copy
     linear = interp == "linear"
     out = vol.data.astype(np.float32) if linear else vol.data
     # shrinking axes first keeps the intermediate arrays small
@@ -237,8 +237,10 @@ def minmax_normalize(vol: Volume) -> Volume:
     """Rescale an intensity volume to [0, 1]; constant input maps to zeros."""
     if vol.kind is not Kind.INTENSITY:
         raise ValueError("minmax_normalize expects an intensity volume")
-    data = vol.data.astype(np.float32)
+    data = vol.data.astype(np.float32)  # the one copy, rescaled in place
     lo, hi = float(data.min()), float(data.max())
     if hi == lo:
         return vol.with_data(np.zeros_like(data))
-    return vol.with_data((data - lo) / (hi - lo))
+    data -= lo
+    data /= hi - lo
+    return vol.with_data(data)

@@ -166,6 +166,14 @@ class TestExtractBrain:
         assert result.status == STATUS_NO_BRAIN
         assert result.mask.data.sum() == 0
 
+    def test_input_left_unchanged(self):
+        # already on the conformed grid, so conforming copies only to normalize
+        img, gt = phantom_case(8, (64, 64, 64))
+        before = img.data.tobytes()
+        result = extract_brain(img, small_oracle_config(gt), conform_side=64)
+        assert result.status == STATUS_OK
+        assert img.data.tobytes() == before
+
     def test_rejects_non_intensity(self, rng):
         m = mask(np.ones((8, 8, 8)))
         config = small_oracle_config(m)
@@ -367,6 +375,10 @@ class TestConfig:
             config_from_dict({"predictor": {"backend": "noisy_oracle",
                                             "noise": {"per_voxel_fp": 0.1}}},
                              gt=mask(np.zeros((32, 32, 32))))
+
+    def test_empty_bfs_stages_rejected(self):
+        with pytest.raises(ValueError, match="at least one localization stage"):
+            config_from_dict({"bfs_stages": []})
 
     def test_connectivity_checked(self):
         gt = mask(np.ones((32, 32, 32)))

@@ -250,6 +250,11 @@ class TestConfigErrors:
         assert code == 1
         self.one_line_error(capsys, *names)
 
+    def test_empty_bfs_stages(self, tmp_path, phantom_files, capsys):
+        code = self.extract(tmp_path, phantom_files, {"bfs_stages": []})
+        assert code == 1
+        self.one_line_error(capsys, "localization stage")
+
     def test_external_command_string(self, tmp_path, phantom_files, capsys):
         cfg = {"predictor": {"backend": "external", "command": "python3 server.py"}}
         code = self.extract(tmp_path, phantom_files, cfg)

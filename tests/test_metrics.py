@@ -31,6 +31,15 @@ class TestDice:
         with pytest.raises(ValueError):
             dice(mask(np.zeros((2, 2, 2))), mask(np.zeros((3, 3, 3))))
 
+    def test_same_for_float_bool_and_uint8(self, rng):
+        a = random_mask(rng, (6, 6, 6), 0.4).data
+        b = random_mask(rng, (6, 6, 6), 0.4).data
+        expected = dice(mask(a), mask(b))
+        for dtype in (np.float32, np.bool_, np.uint8):
+            got = dice(Volume(a.astype(dtype), kind=Kind.MASK),
+                       Volume(b.astype(dtype), kind=Kind.MASK))
+            assert got == expected, dtype
+
     def test_symmetry_property(self, rng):
         for _ in range(300):
             a = random_mask(rng, (5, 5, 5), 0.4)

@@ -101,13 +101,20 @@ class TestConnectedComponents:
 
     @pytest.mark.parametrize("connectivity", [6, 26])
     def test_matches_brute_force(self, rng, connectivity):
-        for _ in range(50):
-            dims = tuple(rng.integers(2, 9, size=3))
-            data = (rng.random(dims) < 0.4).astype(np.uint8)
+        inputs = [(rng.random(tuple(rng.integers(2, 9, size=3))) < 0.4).astype(np.uint8)
+                  for _ in range(50)]
+        one = np.zeros((5, 6, 7), dtype=np.uint8)  # one non-convex component
+        one[1:4, 1:5, 1:3] = one[1, 1:5, 1:6] = 1
+        inputs.append(one)
+        for data in inputs:
             c = connected_components(mask(data), connectivity)
             ref_labels, ref_sizes = brute_force_components(data, connectivity)
             np.testing.assert_array_equal(c.labels.data, ref_labels)
             assert c.sizes == ref_sizes
+        # the last input, a single component, comes back as scipy labelled it
+        raw, _ = ndimage.label(one, structure=morphology._structure(connectivity))
+        np.testing.assert_array_equal(c.labels.data, raw)
+        assert c.sizes == [int(np.count_nonzero(one))]
 
     @pytest.mark.parametrize("connectivity", [6, 26])
     def test_permuted_raw_labels_renumbered(self, rng, monkeypatch, connectivity):

@@ -60,10 +60,15 @@ class TestVolume:
 
 class TestResample:
     def test_identity(self, rng):
-        vol = intensity(rng.random((5, 6, 7)))
-        out = resample(vol, (1, 1, 1), "linear")
-        assert out.dims == vol.dims
-        np.testing.assert_array_equal(out.data, vol.data)
+        # at a volume's own spacing, unit or not, every dtype comes back equal
+        vols = [intensity(rng.random((5, 6, 7))),
+                Volume(rng.integers(0, 100, (4, 5, 6)).astype(np.int16), (0.8, 1.0, 2.5))]
+        for vol in vols:
+            for interp in ("linear", "nearest"):
+                out = resample(vol, vol.spacing, interp)
+                assert (out.dims, out.spacing) == (vol.dims, vol.spacing)
+                assert out.data.dtype == vol.data.dtype
+                np.testing.assert_array_equal(out.data, vol.data)
 
     def test_dims_formula(self, rng):
         vol = Volume(rng.random((10, 10, 10)).astype(np.float32), (2, 2, 2))
@@ -303,3 +308,19 @@ class TestMinMaxNormalize:
     def test_rejects_non_intensity(self):
         with pytest.raises(ValueError):
             minmax_normalize(mask(np.ones((2, 2, 2))))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16, np.uint8])
+    def test_bit_identical_to_out_of_place(self, rng, dtype):
+        if np.issubdtype(dtype, np.integer):
+            info = np.iinfo(dtype)
+            data = rng.integers(info.min, info.max, (6, 7, 8), endpoint=True).astype(dtype)
+        else:
+            data = (rng.normal(size=(6, 7, 8)) * 300 + 40).astype(dtype)
+        before = data.copy()
+        out = minmax_normalize(Volume(data)).data
+        ref = data.astype(np.float32)
+        lo, hi = float(ref.min()), float(ref.max())
+        ref = (ref - lo) / (hi - lo)
+        assert out.dtype == np.float32
+        assert out.tobytes() == ref.tobytes()
+        assert data.tobytes() == before.tobytes()  # the caller's array is untouched
