@@ -56,7 +56,7 @@ def cmd_extract(args) -> int:
         return _fail(f"input file not found: {args.input}")
     config_path = args.config or os.environ.get(DEFAULT_CONFIG_ENV)
     if config_path is None:
-        return _fail("no config given (use --config or set $" + DEFAULT_CONFIG_ENV)
+        return _fail(f"no config given (use --config or set ${DEFAULT_CONFIG_ENV})")
     if not os.path.exists(config_path):
         return _fail(f"config file not found: {config_path}")
     cfg_dict = _load_json(config_path)

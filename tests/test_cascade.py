@@ -174,6 +174,25 @@ class TestExtractBrain:
         assert result.status == STATUS_OK
         assert img.data.tobytes() == before
 
+    def test_leaves_scipy_sparse_unimported(self):
+        """Importing scipy.sparse alone adds about 11 MB to peak RSS."""
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from braincascade import cascade, synth\n"
+            "from braincascade.volume import Kind, Volume\n"
+            "lm = synth.make_phantom_label_map(np.random.default_rng(0), (64, 64, 64))\n"
+            "img = Volume(lm.data.astype(np.float32), kind=Kind.INTENSITY)\n"
+            "config = cascade.default_oracle_config(synth.brain_mask(lm))\n"
+            "result = cascade.extract_brain(img, config, conform_side=64)\n"
+            "print(result.status, 'scipy.sparse' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(cascade.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=120, check=True)
+        assert out.stdout.split() == [STATUS_OK, "False"]
+
     def test_rejects_non_intensity(self, rng):
         m = mask(np.ones((8, 8, 8)))
         config = small_oracle_config(m)

@@ -155,6 +155,8 @@ class TestExtract:
         img_path, _ = phantom_files
         code = main(["extract", str(img_path), "--out", str(tmp_path / "o.nii")])
         assert code == 1
+        assert capsys.readouterr().err == (
+            "error: no config given (use --config or set $BRAINCASCADE_CONFIG)\n")
 
     def test_native_grid_mask_digest(self, tmp_path):
         """Pins the bytes of the mask `extract` writes for an anisotropic scan.

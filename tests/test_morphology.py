@@ -148,6 +148,109 @@ class TestConnectedComponents:
             connected_components(mask(np.zeros((2, 2, 2))), 18)
 
 
+def blob_mask(rng, dims, n_blobs):
+    """Boxes long along axis 2: a mask made of long runs."""
+    data = np.zeros(dims, dtype=np.uint8)
+    for _ in range(n_blobs):
+        lo = rng.integers(0, dims)
+        hi = lo + rng.integers(1, (3, 3, 16), endpoint=True)
+        data[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = 1
+    return data
+
+
+def run_path_cases():
+    """Masks of long runs whose edges and contacts the run pass must get right."""
+    cases = {"empty": np.zeros((4, 5, 40), dtype=np.uint8),
+             "full": np.ones((3, 4, 40), dtype=np.uint8)}
+    d = np.zeros((3, 4, 40), dtype=np.uint8)
+    d[0, 0, 30:] = d[0, 1, :10] = 1  # last column, then column 0 of the next row
+    d[1, 3, 35:] = d[2, 0, :5] = 1  # the same across a plane boundary
+    cases["row_wrap"] = d
+    d = np.zeros((3, 4, 40), dtype=np.uint8)
+    d[1, 0, 10:20] = d[1, 3, 10:20] = 1  # first and last row of a plane
+    d[0, 3, 25:30] = d[1, 0, 25:30] = 1  # row (0, -1) of (1, 0) is not a neighbour
+    d[0, 3, 32:36] = d[2, 0, 32:36] = 1  # nor is row (-1, -1) of (2, 0)
+    cases["plane_edges"] = d
+    d = np.zeros((3, 4, 40), dtype=np.uint8)
+    d[0, 1, 5:15] = d[0, 2, 15:25] = 1  # diagonal within a plane
+    d[1, 1, 30:35] = d[2, 2, 35:39] = 1  # corner across planes
+    d[1, 3, 0:5] = d[2, 2, 5:9] = 1  # edge across planes, row (-1, +1)
+    d[0, 0, 20:30] = d[0, 0, 31:39] = 1  # one gap in a row
+    cases["diagonal"] = d
+    d = np.zeros((2, 16, 40), dtype=np.uint8)
+    d[:, ::2] = 1  # full rows joined at alternate ends: one long chain of runs
+    d[0, 1::4, -1] = d[0, 3::4, 0] = d[1, 1::4, 0] = d[1, 3::4, -1] = 1
+    cases["serpentine"] = d
+    for dims in ((1, 1, 128), (1, 4, 128), (4, 1, 128), (40, 40, 1), (1, 400, 1)):
+        d = np.zeros(dims, dtype=np.uint8)
+        d.reshape(-1)[5:9] = d.reshape(-1)[10:12] = d.reshape(-1)[-3:] = 1
+        cases[f"axes_{dims}"] = d
+    return cases
+
+
+class TestRunPath:
+    """Masks of long runs are labelled from their runs, exactly as by flood fill."""
+
+    @pytest.mark.parametrize("connectivity", [6, 26])
+    def test_matches_brute_force(self, connectivity):
+        rng = np.random.default_rng(7)
+        inputs = list(run_path_cases().values())
+        inputs += [blob_mask(rng, (6, 8, 48), rng.integers(1, 12)) for _ in range(30)]
+        for data in inputs:
+            assert morphology._runs_per_voxel(data) <= morphology.RUNS_PER_VOXEL_MAX
+            c = connected_components(mask(data), connectivity)
+            assert c._runs is not None
+            ref_labels, ref_sizes = brute_force_components(data, connectivity)
+            assert c.sizes == ref_sizes
+            np.testing.assert_array_equal(c.labels.data, ref_labels)
+            largest = largest_component(c).data
+            if len(ref_sizes) > 1:
+                best = int(np.argmax(ref_sizes)) + 1
+                np.testing.assert_array_equal(largest, (ref_labels == best).view(np.uint8))
+
+    @pytest.mark.parametrize("connectivity", [6, 26])
+    def test_both_paths_agree(self, connectivity):
+        rng = np.random.default_rng(8)
+        inputs = [blob_mask(rng, (12, 16, 40), 25) for _ in range(4)]
+        inputs += [(rng.random((10, 12, 14)) < p).astype(np.uint8)
+                   for p in (0.02, 0.1, 0.3, 0.6, 0.9)]
+        for data in inputs:
+            runs, sizes = morphology._label_runs(data, connectivity)
+            labels, ref_sizes = morphology._label_voxels(data, connectivity)
+            assert sizes == ref_sizes
+            np.testing.assert_array_equal(
+                runs.paint(data.shape, slice(None), runs.label, np.int32), labels)
+
+    def test_speckle_goes_to_scipy(self, monkeypatch):
+        calls = []
+        real_label = ndimage.label
+
+        def counting_label(*args, **kwargs):
+            calls.append(1)
+            return real_label(*args, **kwargs)
+
+        monkeypatch.setattr(morphology.ndimage, "label", counting_label)
+        rng = np.random.default_rng(9)
+        connected_components(mask(blob_mask(rng, (16, 16, 48), 20)))
+        assert len(calls) == 0
+        connected_components(mask(rng.random((16, 16, 48)) < 0.1))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: blob_mask(rng, (8, 10, 48), 10),  # run path
+        lambda rng: (rng.random((8, 10, 12)) < 0.3).astype(np.uint8),  # voxel path
+    ])
+    def test_every_mask_dtype(self, make):
+        data = make(np.random.default_rng(10))
+        ref = connected_components(mask(data))
+        for dtype in (np.bool_, np.int8, np.int16, np.uint32, np.int64,
+                      np.float32, np.float64):
+            c = connected_components(Volume(data.astype(dtype), kind=Kind.MASK))
+            assert c.sizes == ref.sizes
+            np.testing.assert_array_equal(c.labels.data, ref.labels.data)
+        assert len(ref.sizes) > 1
+
+
 class TestLargestComponent:
     def test_picks_max(self):
         data = np.zeros((10, 3, 3), dtype=np.uint8)
@@ -168,6 +271,13 @@ class TestLargestComponent:
     def test_empty(self):
         out = largest_component(connected_components(mask(np.zeros((3, 3, 3)))))
         assert out.data.sum() == 0
+
+    @pytest.mark.parametrize("dims", [(4, 4, 40), (4, 4, 4)])  # run, voxel path
+    def test_one_component_is_the_mask(self, dims):
+        data = np.zeros(dims, dtype=np.uint8)
+        data[1:3, 1:3, 1:] = 1
+        m = mask(data)
+        assert largest_component(connected_components(m)).data is m.data
 
     def test_union_of_components_is_mask(self, rng):
         m = random_mask(rng, (8, 8, 8), 0.3)
