@@ -173,6 +173,8 @@ def cmd_eval(args) -> int:
 # -- simulate ----------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
+    if args.seeds < 1:
+        return _fail(f"--seeds must be >= 1, got {args.seeds}")
     if args.noise_spec and os.path.exists(args.noise_spec):
         spec_dict = _load_json(args.noise_spec)
     elif args.noise_spec:

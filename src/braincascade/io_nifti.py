@@ -102,12 +102,15 @@ def write_nifti(vol: Volume, path, datatype: str | None = None) -> None:
     """Write a volume as an uncompressed single-file NIfTI-1 .nii.
 
     Default datatype: uint8 for masks and labels, float32 otherwise. Values
-    not representable in the requested datatype are rejected.
+    not representable in the requested datatype are rejected, and so are
+    dims above 32767, which the int16 header fields cannot hold.
     """
     if datatype is None:
         datatype = "uint8" if vol.kind in (Kind.MASK, Kind.LABEL) else "float32"
     if datatype not in _CODES:
         raise NiftiError(f"unsupported datatype {datatype!r}")
+    if max(vol.dims) > 32767:
+        raise NiftiError(f"dims {vol.dims} do not fit the header's int16 fields")
     code = _CODES[datatype]
     dtype = _DTYPES[code]
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import Kind, Volume, box_view, read_box
+from .volume import Kind, Volume, read_box
 
 PROTOCOL_MAGIC = b"CPRD"
 PROTOCOL_VERSION = 1
@@ -71,7 +71,7 @@ class Predictor:
     read-only (often a view of the caller's volume) and must not be written.
     The result must be a fresh, writable array of the window's shape that no
     one else holds: ``predict`` clips it to [0, 1] in place and hands it to
-    the caller.
+    the caller. A result holding NaN is a PredictorError.
     """
 
     def __init__(self, id: str, window: int):
@@ -88,6 +88,8 @@ class Predictor:
             )
         out = np.asarray(self._predict(patch, tuple(int(o) for o in origin)), np.float32)
         np.clip(out, 0.0, 1.0, out=out)
+        if np.isnan(out.min()):  # clip keeps NaN, which fails every threshold
+            raise PredictorError(f"{self.id}: prediction holds NaN")
         return Volume(out, patch.spacing, Kind.PROBABILITY)
 
     def _predict(self, patch: Volume, origin) -> np.ndarray:
@@ -155,17 +157,11 @@ class NoisyOraclePredictor(Predictor):
 
     def _predict(self, patch, origin):
         shape = (self.window,) * 3
-        gt = box_view(self.gt.data, origin, shape)
-        if gt is None:  # the window reaches past the ground truth: zero-fill
-            out = read_box(self.gt.data, origin, shape, np.float32)
-            flips = None if self._flips is None else read_box(self._flips, origin, shape)
-        else:
-            out = gt.astype(np.float32)
-            flips = None if self._flips is None else box_view(self._flips, origin, shape)
+        out = read_box(self.gt.data, origin, shape).astype(np.float32)
         if self.noise.fp_blob_rate > 0:
             self._spheres(out, origin, self.noise.fp_blob_rate, 0xB10B, 1.0)
-        if flips is not None:
-            np.maximum(out, flips, out=out)
+        if self._flips is not None:
+            np.maximum(out, read_box(self._flips, origin, shape), out=out)
         if self.noise.fn_hole_rate > 0:
             self._spheres(out, origin, self.noise.fn_hole_rate, 0x401E, 0.0)
         return out

@@ -66,9 +66,6 @@ class Volume:
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape
 
-    def with_data(self, data: np.ndarray, kind: Kind | None = None) -> "Volume":
-        return Volume(data, self.spacing, self.kind if kind is None else kind)
-
 
 @dataclass(frozen=True)
 class BoundingBox:
@@ -183,25 +180,23 @@ def overlap_slices(mins, shape, dims):
     return tuple(src), tuple(dst)
 
 
-def box_view(data: np.ndarray, mins, shape) -> np.ndarray | None:
-    """Read-only view of a box lying wholly inside an array, else None.
-
-    The view shares memory with ``data``; a box reaching past any edge has
-    no view, and ``read_box`` copies it with zero-fill instead.
-    """
-    if any(a < 0 or a + n > d for a, n, d in zip(mins, shape, data.shape)):
-        return None
-    view = data[tuple(slice(a, a + n) for a, n in zip(mins, shape))]
-    view.flags.writeable = False
-    return view
-
-
 def read_box(data: np.ndarray, mins, shape, dtype=None) -> np.ndarray:
-    """Copy a box out of an array, reading voxels outside the array as zero."""
-    out = np.zeros(tuple(shape), dtype=data.dtype if dtype is None else dtype)
+    """Read a box out of an array as a read-only array, voxels outside it zero.
+
+    A box lying wholly inside ``data`` and read at ``data``'s own dtype comes
+    back as a view of ``data``; any other box comes back as a zero-filled
+    copy. ``data`` itself stays as writable as it was.
+    """
+    dtype = data.dtype if dtype is None else np.dtype(dtype)
     overlap = overlap_slices(mins, shape, data.shape)
-    if overlap is not None:
-        out[overlap[1]] = data[overlap[0]]
+    if overlap is not None and dtype == data.dtype and all(
+            s.stop - s.start == n for s, n in zip(overlap[0], shape)):
+        out = data[overlap[0]]
+    else:
+        out = np.zeros(tuple(shape), dtype)
+        if overlap is not None:
+            out[overlap[1]] = data[overlap[0]]
+    out.flags.writeable = False
     return out
 
 
@@ -240,7 +235,7 @@ def minmax_normalize(vol: Volume) -> Volume:
     data = vol.data.astype(np.float32)  # the one copy, rescaled in place
     lo, hi = float(data.min()), float(data.max())
     if hi == lo:
-        return vol.with_data(np.zeros_like(data))
+        return Volume(np.zeros_like(data), vol.spacing, vol.kind)
     data -= lo
     data /= hi - lo
-    return vol.with_data(data)
+    return Volume(data, vol.spacing, vol.kind)

@@ -10,12 +10,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .predictor import Predictor, PredictorError
-from .volume import BoundingBox, Kind, Volume, box_view, overlap_slices, read_box
+from .volume import BoundingBox, Kind, Volume, overlap_slices, read_box
 
 
 @dataclass(frozen=True)
 class WindowPlan:
-    """Origins of w-cube windows covering a region with step s.
+    """Origins of w-cube windows covering a region.
 
     Origins are sorted lexicographically with no duplicates; every window
     intersects the region and their union covers it entirely.
@@ -23,7 +23,6 @@ class WindowPlan:
 
     region: BoundingBox
     window: int
-    step: int
     origins: list[tuple[int, int, int]]
 
 
@@ -51,7 +50,7 @@ def plan_windows(region: BoundingBox, w: int, s: int) -> WindowPlan:
         _axis_origins(lo, hi, w, s) for lo, hi in zip(region.mins, region.maxs)
     ]
     origins = [tuple(o) for o in itertools.product(*per_axis)]
-    return WindowPlan(region, int(w), int(s), origins)
+    return WindowPlan(region, int(w), origins)
 
 
 def snap_plan_into(plan: WindowPlan, dims) -> WindowPlan:
@@ -69,7 +68,7 @@ def snap_plan_into(plan: WindowPlan, dims) -> WindowPlan:
             seen.add(so)
             snapped.append(so)
     snapped.sort()
-    return WindowPlan(plan.region, w, plan.step, snapped)
+    return WindowPlan(plan.region, w, snapped)
 
 
 def coverage_counts(plan: WindowPlan) -> Volume:
@@ -94,12 +93,11 @@ def run_windows(vol: Volume, plan: WindowPlan, predictor: Predictor,
     """Predict every window and accumulate into a region-sized map.
 
     mode="sum" adds overlapping predictions; mode="mean" divides each voxel
-    by its coverage count. Each patch is read-only: a float32 window inside
-    the volume is a view of ``vol.data``, any other window a float32 copy,
-    zero-padded where it reaches past the volume. The out-of-region output
-    portion is discarded. Windows run one at a time in ``plan.origins``
-    (lexicographic) order, each prediction added into the map as it returns,
-    so the result is bit-identical run to run.
+    by its coverage count. Each patch is a float32 ``read_box`` of the
+    volume: read-only, and a view of ``vol.data`` where it can be. The
+    out-of-region output portion is discarded. Windows run one at a time in
+    ``plan.origins`` (lexicographic) order, each prediction added into the
+    map as it returns, so the result is bit-identical run to run.
     A failed prediction is a PredictorError naming the window origin.
     """
     if mode not in ("sum", "mean"):
@@ -111,11 +109,7 @@ def run_windows(vol: Volume, plan: WindowPlan, predictor: Predictor,
     shape = (plan.window,) * 3
     acc = np.zeros(plan.region.shape, dtype=np.float32)
     for origin, overlap in zip(plan.origins, _region_overlaps(plan)):
-        data = box_view(vol.data, origin, shape) if vol.data.dtype == np.float32 else None
-        if data is None:
-            data = read_box(vol.data, origin, shape, np.float32)
-            data.flags.writeable = False
-        patch = Volume(data, vol.spacing, vol.kind)
+        patch = Volume(read_box(vol.data, origin, shape, np.float32), vol.spacing, vol.kind)
         try:
             pred = predictor.predict(patch, origin)
         except Exception as e:

@@ -123,6 +123,23 @@ class TestExtract:
         assert "Traceback" not in err
         assert not (tmp_path / "mask.nii").exists()
 
+    def test_nan_prediction_is_one_line_error(self, tmp_path, phantom_files, capsys):
+        img_path, _ = phantom_files
+        cfg = tmp_path / "nan.json"
+        cfg.write_text(json.dumps({
+            "predictor": {"backend": "external", "timeout": 10.0,
+                          "command": [sys.executable, SERVER, "constant", "nan"]},
+            "bfs_stages": [{"name": "a", "window": 32, "step": 32}],
+            "dfs_stages": [{"name": "b", "window": 16, "step": 16}],
+        }))
+        code = main(["extract", str(img_path), "--config", str(cfg),
+                     "--out", str(tmp_path / "mask.nii"), "--side", "96"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "window origin (0, 0, 0)" in err and "NaN" in err
+        assert not (tmp_path / "mask.nii").exists()
+
     def test_predictors_closed_after_success(self, tmp_path, phantom_files, monkeypatch):
         img_path, gt_path = phantom_files
         closed = []
@@ -393,6 +410,14 @@ class TestSimulate:
         for line in lines[1:]:
             _, cd, sd, _ = line.split(",")
             assert float(cd) >= 0.99 and float(sd) >= 0.99
+
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_seeds_below_one_rejected(self, tmp_path, capsys, seeds):
+        code = main(["simulate", "--seeds", seeds, "--report", str(tmp_path / "rep")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--seeds" in err
+        assert not (tmp_path / "rep.csv").exists()
 
     def test_reproducible(self, tmp_path, capsys):
         outs = []

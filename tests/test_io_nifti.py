@@ -130,6 +130,12 @@ class TestWrite:
         with pytest.raises(NiftiError):
             write_nifti(bad, tmp_path / "bad.nii", "uint8")
 
+    def test_dims_above_int16_rejected(self, tmp_path):
+        path = tmp_path / "long.nii"
+        with pytest.raises(NiftiError, match="32768"):
+            write_nifti(Volume(np.zeros((32768, 1, 1), dtype=np.uint8)), path, "uint8")
+        assert not path.exists()
+
     def test_mask_non_binary_rejected(self, tmp_path):
         # masks must be {0,1}; write path re-checks before serializing
         bad = object.__new__(Volume)

@@ -9,7 +9,7 @@ from braincascade.predictor import (
     ConstantPredictor, ExternalPredictor, NoiseSpec, NoisyOraclePredictor,
     OraclePredictor, PredictorError, _squared_distances,
 )
-from braincascade.volume import Kind, Volume, box_view
+from braincascade.volume import Kind, Volume, read_box
 from conftest import intensity, mask, random_mask
 
 SERVER = os.path.join(os.path.dirname(__file__), "fixtures", "echo_server.py")
@@ -212,7 +212,7 @@ class TestExternal:
     def test_echo_of_read_only_view(self, rng):
         # a patch that is a strided, read-only view of a larger volume
         data = rng.random((20, 20, 20)).astype(np.float32)
-        view = box_view(data, (3, 5, 7), (8, 8, 8))
+        view = read_box(data, (3, 5, 7), (8, 8, 8))
         h = ExternalPredictor(self.server("echo"), 8, timeout=10)
         try:
             out = h.predict(intensity(view), (3, 5, 7))

@@ -3,7 +3,7 @@ import pytest
 from scipy import ndimage
 
 from braincascade.volume import (
-    Kind, Volume, box_view, conform_cube, minmax_normalize, read_box, resample,
+    Kind, Volume, conform_cube, minmax_normalize, read_box, resample,
     unconform_cube,
 )
 from conftest import intensity, mask
@@ -232,7 +232,7 @@ def test_conform_cube_matches_crop_and_pad(rng):
 
 
 class TestExtractPatch:
-    """read_box: a box copied out of an array, zeros outside it."""
+    """read_box: a box read out of an array, zeros outside it."""
 
     def test_full_extent_copy(self, rng):
         data = rng.random((6, 7, 8))
@@ -271,21 +271,37 @@ class TestExtractPatch:
             assert not out.any()
 
 
-class TestBoxView:
-    """box_view: a read-only view of a box inside the array, else None."""
+class TestReadBoxContract:
+    """read_box is read-only: a view inside the array at its own dtype, else a
+    zero-filled copy."""
 
-    def test_inside_is_read_only_view(self, rng):
+    def test_inside_same_dtype_is_read_only_view(self, rng):
         data = rng.random((10, 12, 14)).astype(np.float32)
         for mins, shape in [((0, 0, 0), (10, 12, 14)), ((2, 3, 4), (8, 9, 10)), ((9, 0, 13), (1, 1, 1))]:
-            view = box_view(data, mins, shape)
-            assert np.shares_memory(view, data) and not view.flags.writeable
-            np.testing.assert_array_equal(view, read_box(data, mins, shape))
+            for dtype in (None, np.float32):
+                out = read_box(data, mins, shape, dtype)
+                assert np.shares_memory(out, data) and not out.flags.writeable
+                np.testing.assert_array_equal(out, data[tuple(slice(a, a + n) for a, n in zip(mins, shape))])
         assert data.flags.writeable
 
-    def test_past_any_edge_is_none(self):
+    def test_past_any_edge_is_read_only_copy(self):
         data = np.ones((10, 10, 10), dtype=np.uint8)
         for mins in [(-1, 0, 0), (0, 0, -2), (5, 0, 0), (0, 4, 0), (10, 0, 0)]:
-            assert box_view(data, mins, (6, 7, 2)) is None
+            out = read_box(data, mins, (6, 7, 2))
+            assert not np.shares_memory(out, data) and not out.flags.writeable
+            assert out.dtype == np.uint8
+            # ones where the box meets the array, zeros elsewhere
+            idx = np.indices(out.shape) + np.reshape(mins, (3, 1, 1, 1))
+            np.testing.assert_array_equal(out, ((idx >= 0) & (idx < 10)).all(axis=0))
+        assert data.flags.writeable
+
+    def test_other_dtype_is_read_only_copy(self, rng):
+        data = rng.integers(0, 255, size=(10, 10, 10)).astype(np.uint8)
+        out = read_box(data, (2, 3, 4), (5, 5, 5), np.float32)
+        assert out.dtype == np.float32
+        assert not np.shares_memory(out, data) and not out.flags.writeable
+        np.testing.assert_array_equal(out, data[2:7, 3:8, 4:9])
+        assert data.flags.writeable
 
 
 class TestMinMaxNormalize:

@@ -8,7 +8,7 @@ from braincascade.predictor import (
     ConstantPredictor, ExternalPredictor, NoiseSpec, NoisyOraclePredictor, OraclePredictor,
     Predictor, PredictorError,
 )
-from braincascade.volume import BoundingBox, Kind, Volume, box_view, overlap_slices, read_box
+from braincascade.volume import BoundingBox, Kind, Volume, overlap_slices, read_box
 from braincascade.windowing import (
     coverage_counts, plan_windows, run_windows, snap_plan_into,
 )
@@ -190,8 +190,8 @@ class TestSnapPlanInto:
 
 
 def reference_run(vol, plan, predict):
-    """run_windows(mode="sum") as a plain loop: every patch a zero-filled
-    float32 read_box copy, every prediction ``predict(patch, origin)``."""
+    """run_windows(mode="sum") as a plain loop: every patch a float32
+    read_box, every prediction ``predict(patch, origin)``."""
     shape = (plan.window,) * 3
     acc = np.zeros(plan.region.shape, dtype=np.float32)
     for origin in plan.origins:
@@ -218,7 +218,7 @@ def noisy_reference(pred, origin):
     ground truth and the flip field."""
     shape = (pred.window,) * 3
     noise = pred.noise
-    out = read_box(pred.gt.data, origin, shape, np.float32)
+    out = np.array(read_box(pred.gt.data, origin, shape, np.float32))
     pred._spheres(out, origin, noise.fp_blob_rate, 0xB10B, 1.0)
     out = np.maximum(out, read_box(pred._flips, origin, shape, np.float32))
     pred._spheres(out, origin, noise.fn_hole_rate, 0x401E, 0.0)
@@ -257,7 +257,8 @@ class TestPatchFallbacks:
         pred = NoisyOraclePredictor(gt, 32, noise, model_seed=3, master_seed=5)
         # thinner than the window on axes 0 and 2: every window crosses the edge
         edge = BoundingBox((30, 0, 40), (48, 48, 48))
-        assert all(box_view(gt.data, o, (32,) * 3) is None for o in plan_windows(edge, 32, 12).origins)
+        assert not any(np.shares_memory(read_box(gt.data, o, (32,) * 3), gt.data)
+                       for o in plan_windows(edge, 32, 12).origins)
         for region in (edge, BoundingBox.full(gt.dims)):
             plan = plan_windows(region, 32, 12)
             expected = reference_run(vol, plan, lambda p, o: noisy_reference(pred, o))
@@ -279,6 +280,12 @@ class TestPatchContract:
                 with pytest.raises(PredictorError, match=origin):
                     run_windows(vol, plan, Writing("w", 16))
             assert not vol.data.any() and vol.data.flags.writeable
+
+    def test_nan_prediction_names_origin(self):
+        vol = intensity(np.zeros((40, 40, 40)))
+        plan = plan_windows(BoundingBox((8, 8, 8), (24, 24, 24)), 16, 16)
+        with pytest.raises(PredictorError, match=r"\(8, 8, 8\).*NaN"):
+            run_windows(vol, plan, ConstantPredictor(float("nan"), 16))
 
     def backends(self, gt):
         yield ConstantPredictor(0.5, 16)
