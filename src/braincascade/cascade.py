@@ -315,6 +315,11 @@ def _build_predictor(spec: dict, window: int, name: str, model: str,
     return ExternalPredictor(command, window, timeout=spec.get("timeout", 30.0), id=name)
 
 
+def check_config_keys(d) -> dict:
+    """``d`` itself if its top-level keys and scalar types fit the schema."""
+    return _check_object(d, _TOP_KEYS, "config top level")
+
+
 def config_from_dict(d: dict, gt: Volume | None = None, master_seed: int = 0) -> CascadeConfig:
     """Build a runnable configuration from the JSON config schema.
 
@@ -324,7 +329,7 @@ def config_from_dict(d: dict, gt: Volume | None = None, master_seed: int = 0) ->
     A key the schema does not know, or a value of another type than the key
     takes, is a ValueError naming the key and where it sits.
     """
-    _check_object(d, _TOP_KEYS, "config top level")
+    check_config_keys(d)
     version = d.get("schema_version", CONFIG_SCHEMA_VERSION)
     if version != CONFIG_SCHEMA_VERSION:
         raise ValueError(f"unsupported config schema version {version}")

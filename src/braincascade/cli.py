@@ -59,9 +59,7 @@ def cmd_extract(args) -> int:
         return _fail(f"no config given (use --config or set ${DEFAULT_CONFIG_ENV})")
     if not os.path.exists(config_path):
         return _fail(f"config file not found: {config_path}")
-    cfg_dict = _load_json(config_path)
-    if not isinstance(cfg_dict, dict):
-        return _fail(f"config top level must be a JSON object, got {type(cfg_dict).__name__}")
+    cfg_dict = cascade.check_config_keys(_load_json(config_path))
 
     vol = io_nifti.read_nifti(args.input)
     side, spacing = args.side, args.spacing
@@ -107,6 +105,8 @@ def cmd_extract(args) -> int:
 # -- synth -------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
+    if args.count < 1:
+        return _fail(f"--count must be >= 1, got {args.count}")
     if args.model:
         if args.model not in MODEL_PARAMS:
             return _fail(f"unknown model {args.model!r}, expected one of A B C D")

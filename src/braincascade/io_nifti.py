@@ -12,6 +12,7 @@ format); in memory volumes keep the package convention of axis 0 slowest.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 
 import numpy as np
@@ -50,8 +51,9 @@ def _open_read(path):
 def read_nifti(path, kind: Kind = Kind.INTENSITY) -> Volume:
     """Read a 3D volume from a .nii or .nii.gz file.
 
-    Data is scaled by scl_slope/scl_inter when slope is nonzero. The kind tag
-    comes from the caller; intensity by default.
+    Data is scaled by scl_slope/scl_inter when the slope is finite and nonzero,
+    as in nibabel; such a slope with a non-finite intercept is a NiftiError.
+    The kind tag comes from the caller; intensity by default.
     """
     with _open_read(path) as f:
         hdr = f.read(HEADER_SIZE)
@@ -81,6 +83,10 @@ def read_nifti(path, kind: Kind = Kind.INTENSITY) -> Volume:
         if vox_offset < VOX_OFFSET:
             raise NiftiError(f"{path}: vox_offset {vox_offset} < {VOX_OFFSET}")
         scl_slope, scl_inter = struct.unpack_from("<2f", hdr, 112)
+        scaled = (math.isfinite(scl_slope) and scl_slope != 0
+                  and (scl_slope, scl_inter) != (1.0, 0.0))
+        if scaled and not math.isfinite(scl_inter):
+            raise NiftiError(f"{path}: scl_inter {scl_inter} with scl_slope {scl_slope}")
 
         f.read(vox_offset - HEADER_SIZE)
         dtype = _DTYPES[datatype]
@@ -91,7 +97,7 @@ def read_nifti(path, kind: Kind = Kind.INTENSITY) -> Volume:
 
     # file order: dims[0] fastest; internal order: axis 0 slowest
     data = np.frombuffer(raw, dtype=dtype).reshape(dims, order="F")
-    if scl_slope != 0 and (scl_slope, scl_inter) != (1.0, 0.0):
+    if scaled:
         data = (data.astype(np.float32) * scl_slope + scl_inter).astype(np.float32)
     else:
         data = np.ascontiguousarray(data)

@@ -17,9 +17,9 @@ class EmptyMaskError(ValueError):
 
 # Masks with at most this many foreground runs (along axis 2) per voxel are
 # labelled from their runs; speckled masks go through scipy voxel by voxel.
-# Measured on 128^3 and 192^3 masks (a ball plus speckle), the run pass costs
-# about 0.3 us per run and scipy's pass with its scan-order check 6-10 ns per
-# voxel, so the two break even at 0.034-0.038 runs per voxel.
+# Measured on 128^3 and 192^3 masks (a ball plus speckle), the run pass cost
+# about 0.3 us per run and scipy's pass (then with a numbering check) 6-10 ns
+# per voxel, so the two broke even at 0.034-0.038 runs per voxel.
 RUNS_PER_VOXEL_MAX = 0.03
 # planes along axis 0 on which the runs per voxel are counted
 _SAMPLE_PLANES = 16
@@ -94,26 +94,11 @@ def _runs_per_voxel(data: np.ndarray) -> float:
 
 
 def _label_voxels(data: np.ndarray, connectivity: int) -> tuple[np.ndarray, list[int]]:
-    """scipy's voxel-by-voxel labels, renumbered to first-encounter order."""
-    raw, k = ndimage.label(data, structure=_structure(connectivity))  # int32
-    if k <= 1:  # no component, or one: already numbered in scan order
-        return raw, [int(np.count_nonzero(data))] * k
-    # labels of the foreground voxels, in scan order; 1-byte masks are read
-    # as bool in place, other dtypes are compared once
-    seq = raw[data.view(np.bool_) if data.dtype.itemsize == 1 else data != 0]
-    # The raw labels already number components in first-encounter order iff
-    # each voxel's label is at most one above every label seen before it.
-    if seq[0] == 1 and (seq[1:] <= np.maximum.accumulate(seq)[:-1] + 1).all():
-        labels = raw
-    else:
-        # first occurrence index of each raw label, in scan order
-        first = np.full(k + 1, raw.size, dtype=np.int64)
-        np.minimum.at(first, seq, np.flatnonzero(raw))
-        order = np.argsort(first[1:], kind="stable")  # raw label -> rank
-        remap = np.zeros(k + 1, dtype=np.int32)
-        remap[1:][order] = np.arange(1, k + 1, dtype=np.int32)
-        labels = remap[raw]
-        seq = remap[seq]
+    """scipy's voxel-by-voxel labels, in first-encounter scan order as they come."""
+    labels, k = ndimage.label(data, structure=_structure(connectivity))  # int32
+    # labels of the foreground voxels; 1-byte masks are read as bool in
+    # place, other dtypes are compared once
+    seq = labels[data.view(np.bool_) if data.dtype.itemsize == 1 else data != 0]
     return labels, np.bincount(seq, minlength=k + 1)[1:].tolist()
 
 

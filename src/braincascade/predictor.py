@@ -16,7 +16,6 @@ import os
 import select
 import struct
 import subprocess
-import threading
 import time
 from dataclasses import dataclass
 
@@ -49,8 +48,10 @@ class NoiseSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "fp_blob_radius", tuple(self.fp_blob_radius))
-        if self.fp_blob_rate < 0 or self.fn_hole_rate < 0 or self.per_voxel_fp < 0:
-            raise ValueError("noise rates must be non-negative")
+        for name in ("fp_blob_rate", "fn_hole_rate", "per_voxel_fp"):
+            rate = getattr(self, name)
+            if not (math.isfinite(rate) and rate >= 0):
+                raise ValueError(f"{name!r} must be finite and non-negative, got {rate}")
         if not self.per_voxel_fp < 1:
             raise ValueError("per_voxel_fp must be < 1")
         if not all(math.isfinite(r) for r in self.fp_blob_radius):
@@ -190,7 +191,6 @@ class ExternalPredictor(Predictor):
                  id: str = "external"):
         super().__init__(id, window)
         self.timeout = float(timeout)
-        self._lock = threading.Lock()
         try:
             self._proc = subprocess.Popen(
                 command, stdin=subprocess.PIPE, stdout=subprocess.PIPE
@@ -246,15 +246,14 @@ class ExternalPredictor(Predictor):
 
     def _predict(self, patch, origin):
         w = self.window
-        with self._lock:
-            try:
-                self._proc.stdin.write(struct.pack("<3q", *origin))
-                body = np.ascontiguousarray(patch.data, dtype="<f4")
-                self._proc.stdin.write(memoryview(body).cast("B"))
-                self._proc.stdin.flush()
-            except (BrokenPipeError, OSError) as e:
-                raise PredictorError(f"{self.id}: window {origin}: {e}") from e
-            raw = self._read_exact(4 * w ** 3, context=f"window {origin}")
+        try:
+            self._proc.stdin.write(struct.pack("<3q", *origin))
+            body = np.ascontiguousarray(patch.data, dtype="<f4")
+            self._proc.stdin.write(memoryview(body).cast("B"))
+            self._proc.stdin.flush()
+        except (BrokenPipeError, OSError) as e:
+            raise PredictorError(f"{self.id}: window {origin}: {e}") from e
+        raw = self._read_exact(4 * w ** 3, context=f"window {origin}")
         return np.frombuffer(raw, dtype="<f4").reshape((w, w, w))
 
     def close(self):

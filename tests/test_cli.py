@@ -324,6 +324,21 @@ class TestConfigErrors:
         assert main(["simulate", "--seeds", "1", "--noise-spec", spec]) == 1
         self.one_line_error(capsys, "--noise-spec", *names)
 
+    @pytest.mark.parametrize("gt", [1, True, [1, 2], {}])
+    def test_gt_not_a_string(self, tmp_path, phantom_files, capsys, gt):
+        assert self.extract(tmp_path, phantom_files, {"gt": gt}) == 1
+        self.one_line_error(capsys, "'gt'", "string")
+
+    @pytest.mark.parametrize("rate,value", [("fp_blob_rate", "NaN"), ("fn_hole_rate", "Infinity"),
+                                            ("per_voxel_fp", "-Infinity")])
+    def test_non_finite_noise_rate(self, tmp_path, phantom_files, capsys, rate, value):
+        assert main(["simulate", "--seeds", "1", "--noise-spec", f'{{"{rate}": {value}}}']) == 1
+        self.one_line_error(capsys, f"'{rate}'", "finite")
+        cfg = json.loads(f'{{"predictor": {{"backend": "noisy_oracle", "{rate}": {value}}}}}')
+        cfg["gt"] = str(phantom_files[1])
+        assert self.extract(tmp_path, phantom_files, cfg) == 1
+        self.one_line_error(capsys, f"'{rate}'", "finite")
+
     @pytest.mark.parametrize("radius", [3, [2], ["2", "3"], {"lo": 2}])
     def test_noisy_oracle_radius_not_a_pair(self, tmp_path, phantom_files, capsys, radius):
         cfg = {"predictor": {"backend": "noisy_oracle", "fp_blob_radius": radius}}
@@ -352,6 +367,14 @@ class TestSynth:
             a = (tmp_path / "run1" / fname).read_bytes()
             b = (tmp_path / "run2" / fname).read_bytes()
             assert a == b
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one_rejected(self, tmp_path, capsys, count):
+        code = main(["synth", "--model", "D", "--count", count,
+                     "--outdir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --count must be >= 1, got {count}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_model(self, tmp_path, capsys):
         with pytest.raises(SystemExit):

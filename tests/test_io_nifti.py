@@ -63,6 +63,22 @@ class TestRead:
         vol = read_nifti(path)
         np.testing.assert_allclose(sorted(vol.data.ravel()), values * 2 + 1)
 
+    @pytest.mark.parametrize("slope", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_slope_reads_unscaled(self, tmp_path, slope):
+        path = tmp_path / "scaled.nii"
+        values = np.arange(8, dtype="<f4")
+        path.write_bytes(build_header((2, 2, 2), 16, scl=(slope, 5.0)) + values.tobytes())
+        vol = read_nifti(path)
+        np.testing.assert_array_equal(sorted(vol.data.ravel()), values)
+
+    @pytest.mark.parametrize("inter", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_inter_with_scaling_slope(self, tmp_path, inter):
+        path = tmp_path / "scaled.nii"
+        values = np.arange(8, dtype="<f4")
+        path.write_bytes(build_header((2, 2, 2), 16, scl=(2.0, inter)) + values.tobytes())
+        with pytest.raises(NiftiError, match="scl_inter"):
+            read_nifti(path)
+
     def test_gzip_accepted(self, tmp_path, rng):
         plain = tmp_path / "vol.nii"
         vol = Volume(rng.random((5, 6, 7)).astype(np.float32))

@@ -116,28 +116,6 @@ class TestConnectedComponents:
         np.testing.assert_array_equal(c.labels.data, raw)
         assert c.sizes == [int(np.count_nonzero(one))]
 
-    @pytest.mark.parametrize("connectivity", [6, 26])
-    def test_permuted_raw_labels_renumbered(self, rng, monkeypatch, connectivity):
-        """Raw labels out of scan order take the relabel path, sizes included."""
-        real_label = ndimage.label
-
-        def permuted_label(data, structure=None):
-            raw, k = real_label(data, structure=structure)
-            perm = np.concatenate([[0], rng.permutation(k) + 1]).astype(raw.dtype)
-            return perm[raw], k
-
-        monkeypatch.setattr(morphology.ndimage, "label", permuted_label)
-        checked = 0
-        for _ in range(30):
-            dims = tuple(rng.integers(3, 9, size=3))
-            data = (rng.random(dims) < 0.3).astype(np.uint8)
-            c = connected_components(mask(data), connectivity)
-            ref_labels, ref_sizes = brute_force_components(data, connectivity)
-            np.testing.assert_array_equal(c.labels.data, ref_labels)
-            assert c.sizes == ref_sizes
-            checked += len(set(ref_sizes)) > 1
-        assert checked > 0  # some cases have components of unequal sizes
-
     def test_sizes_sum_to_foreground(self, rng):
         m = random_mask(rng, (10, 10, 10), 0.3)
         c = connected_components(m)
@@ -214,6 +192,9 @@ class TestRunPath:
         inputs = [blob_mask(rng, (12, 16, 40), 25) for _ in range(4)]
         inputs += [(rng.random((10, 12, 14)) < p).astype(np.uint8)
                    for p in (0.02, 0.1, 0.3, 0.6, 0.9)]
+        # speckle at the scale of a dense run, where scipy's own numbering
+        # (kept as is by the voxel path) is pinned against the run path's
+        inputs += [(rng.random((64, 64, 64)) < p).astype(np.uint8) for p in (0.1, 0.3)]
         for data in inputs:
             runs, sizes = morphology._label_runs(data, connectivity)
             labels, ref_sizes = morphology._label_voxels(data, connectivity)

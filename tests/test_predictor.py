@@ -156,6 +156,10 @@ class TestNoisyOracle:
         for radius in [(3.0, float("inf")), (float("nan"), 3.0)]:
             with pytest.raises(ValueError, match="fp_blob_radius"):
                 NoiseSpec(fp_blob_radius=radius)
+        for rate in ("fp_blob_rate", "fn_hole_rate", "per_voxel_fp"):
+            for value in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ValueError, match=rate):
+                    NoiseSpec(**{rate: value})
 
     def test_majority_fp_rate_converges(self):
         # three independent streams voted 2-of-3: rate 3p^2(1-p) + p^3
