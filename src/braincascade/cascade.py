@@ -104,22 +104,28 @@ def reconstruct_full(s: Volume, r: BoundingBox, dims) -> Volume:
     return Volume(vol_ops.read_box(s.data, tuple(-a for a in r.mins), dims), s.spacing, s.kind)
 
 
-def _run_stage(vol: Volume, region: BoundingBox, stage: StageSpec, mode: str) -> Volume:
+def _run_stage(vol: Volume, region: BoundingBox, stage: StageSpec, config: CascadeConfig) -> Volume:
     """Accumulate one stage's windows over a region, snapped into the volume."""
     plan = snap_plan_into(plan_windows(region, stage.window, stage.step), vol.dims)
-    return run_windows(vol, plan, stage.predictor, mode=mode)
+    return run_windows(vol, plan, stage.predictor, mode=config.accumulate_mode)
 
 
-def bfs_localize(vol: Volume, config: CascadeConfig):
+def _largest_box(mask: Volume, connectivity: int) -> BoundingBox | None:
+    """Box of the mask's largest connected component; None if it has none."""
+    comps = connected_components(mask, connectivity)
+    return bounding_box(largest_component(comps)) if comps.sizes else None
+
+
+def bfs_localize(vol: Volume, config: CascadeConfig) -> BoundingBox | None:
     """Scan the full volume with every localization stage and box the result.
 
-    Returns (box, status); the box is None when no voxel survives the
-    threshold in the combined probability map.
+    The box is None when no voxel survives the threshold in the combined
+    probability map.
     """
     full = BoundingBox.full(vol.dims)
     combined = None
     for stage in config.bfs_stages:
-        p = _run_stage(vol, full, stage, config.accumulate_mode)
+        p = _run_stage(vol, full, stage, config)
         above = p.data > config.bfs_threshold
         if combined is None:
             combined = above
@@ -127,11 +133,8 @@ def bfs_localize(vol: Volume, config: CascadeConfig):
             combined |= above
         else:
             combined &= above
-    mask = Volume(combined.view(np.uint8), vol.spacing, Kind.MASK)
-    comps = connected_components(mask, config.connectivity)
-    if not comps.sizes:
-        return None, STATUS_NO_BRAIN
-    return bounding_box(largest_component(comps)), STATUS_OK
+    return _largest_box(Volume(combined.view(np.uint8), vol.spacing, Kind.MASK),
+                        config.connectivity)
 
 
 def dfs_refine(vol: Volume, region: BoundingBox, config: CascadeConfig) -> ExtractionResult:
@@ -146,12 +149,11 @@ def dfs_refine(vol: Volume, region: BoundingBox, config: CascadeConfig) -> Extra
     masks: list[Volume] = []  # in the first region's frame
     r = region
     for stage in config.dfs_stages:
-        p = _run_stage(vol, r, stage, config.accumulate_mode)
+        p = _run_stage(vol, r, stage, config)
         s = threshold(p, config.alpha)
-        comps = connected_components(s, config.connectivity)
-        if not comps.sizes:
+        local_box = _largest_box(s, config.connectivity)
+        if local_box is None:
             break
-        local_box = bounding_box(largest_component(comps))
         # r lies inside the first region: place the mask in that region's frame
         in_region = tuple(a - b for a, b in zip(region.mins, r.mins))
         masks.append(Volume(vol_ops.read_box(s.data, in_region, region.shape),
@@ -180,11 +182,10 @@ def extract_brain(vol: Volume, config: CascadeConfig,
     if vol.kind is not Kind.INTENSITY:
         raise ValueError("extract_brain expects an intensity volume")
     conformed = conform_input(vol, conform_side, target_spacing)
-    box, status = bfs_localize(conformed, config)
-    if status != STATUS_OK:
-        empty = Volume(np.zeros(conformed.dims, dtype=np.uint8),
-                       conformed.spacing, Kind.MASK)
-        return ExtractionResult(empty, [], STATUS_NO_BRAIN, {})
+    box = bfs_localize(conformed, config)
+    if box is None:
+        empty = Volume(np.zeros(conformed.dims, np.uint8), conformed.spacing, Kind.MASK)
+        return ExtractionResult(empty, status=STATUS_NO_BRAIN)
     result = dfs_refine(conformed, box, config)
     return ExtractionResult(result.mask, [("bfs", box)] + result.roi_trace,
                             result.status, result.stage_masks)
@@ -192,26 +193,25 @@ def extract_brain(vol: Volume, config: CascadeConfig,
 
 def conform_input(vol: Volume, side: int = 192, spacing: float = 1.0) -> Volume:
     """Preprocess to the pipeline grid: isotropic resample, cube, normalize."""
-    interp = "nearest" if vol.kind in (Kind.LABEL, Kind.MASK) else "linear"
-    out = vol_ops.resample(vol, (spacing,) * 3, interp)
+    out = vol_ops.resample(vol, (spacing,) * 3)
     out = vol_ops.conform_cube(out, side)
     if out.kind is Kind.INTENSITY:
         out = vol_ops.minmax_normalize(out)
     return out
 
 
-def restore_native(mask: Volume, native_dims, native_spacing, spacing: float = 1.0) -> Volume:
-    """Invert conform_input for a mask: undo the cube crop and padding, then
-    resample (nearest) onto the native grid it was conformed from."""
-    dims = vol_ops.resampled_dims(native_dims, native_spacing, (spacing,) * 3)
+def restore_native(mask: Volume, native_dims, native_spacing) -> Volume:
+    """Invert conform_input for a conformed mask: undo the cube crop and
+    padding, then resample (nearest) onto the native grid it came from."""
+    dims = vol_ops.resampled_dims(native_dims, native_spacing, mask.spacing)
     out = vol_ops.unconform_cube(mask, dims)
-    return vol_ops._resample_to(out, native_dims, native_spacing, "nearest")
+    return vol_ops._resample_to(out, native_dims, native_spacing)
 
 
-def single_pass_extract(vol: Volume, stage: StageSpec, alpha: float = 0.2, mode: str = "sum") -> Volume:
-    """One sliding pass over the full volume, thresholded; the non-cascaded
-    comparison arm."""
-    return threshold(_run_stage(vol, BoundingBox.full(vol.dims), stage, mode), alpha)
+def single_pass_extract(vol: Volume, stage: StageSpec, config: CascadeConfig) -> Volume:
+    """One sliding pass over the full volume, accumulated and thresholded as
+    ``config`` does it; the non-cascaded comparison arm."""
+    return threshold(_run_stage(vol, BoundingBox.full(vol.dims), stage, config), config.alpha)
 
 
 # -- configuration -----------------------------------------------------------

@@ -79,7 +79,7 @@ def cmd_extract(args) -> int:
     finally:
         config.close()
 
-    mask = cascade.restore_native(result.mask, vol.dims, vol.spacing, spacing)
+    mask = cascade.restore_native(result.mask, vol.dims, vol.spacing)
     io_nifti.write_nifti(mask, args.out, datatype="uint8")
 
     trace_path = args.trace or (os.path.splitext(args.out)[0] + "_trace.json")
@@ -199,7 +199,7 @@ def cmd_simulate(args) -> int:
         cascade_dice = metrics.dice(result.mask, gt)
 
         single_stage = next(s for s in config.bfs_stages if s.name == "A")
-        single = single_pass_extract(intensity, single_stage, alpha=config.alpha)
+        single = single_pass_extract(intensity, single_stage, config)
         single_dice = metrics.dice(single, gt)
 
         final_roi = result.roi_trace[-1][1]
@@ -241,7 +241,7 @@ def cmd_plan(args) -> int:
     if args.window < 1 or args.step < 1:
         return _fail("--window and --step must be >= 1")
     plan = plan_windows(BoundingBox.full(dims), args.window, args.step)
-    counts = coverage_counts(plan).data
+    counts = coverage_counts(plan)
     print(f"windows: {len(plan.origins)}")
     for o in plan.origins:
         print(f"  {o[0]:5d} {o[1]:5d} {o[2]:5d}")

@@ -53,6 +53,7 @@ def read_nifti(path, kind: Kind = Kind.INTENSITY) -> Volume:
 
     Data is scaled by scl_slope/scl_inter when the slope is finite and nonzero,
     as in nibabel; such a slope with a non-finite intercept is a NiftiError.
+    A pixdim that is not finite and positive reads as 1.0 mm.
     The kind tag comes from the caller; intensity by default.
     """
     with _open_read(path) as f:
@@ -78,17 +79,17 @@ def read_nifti(path, kind: Kind = Kind.INTENSITY) -> Volume:
         if datatype not in _DTYPES:
             raise NiftiError(f"{path}: unsupported datatype code {datatype}")
         pixdim = struct.unpack_from("<8f", hdr, 76)
-        spacing = tuple(p if p > 0 else 1.0 for p in pixdim[1:4])
-        vox_offset = int(struct.unpack_from("<f", hdr, 108)[0])
-        if vox_offset < VOX_OFFSET:
-            raise NiftiError(f"{path}: vox_offset {vox_offset} < {VOX_OFFSET}")
+        spacing = tuple(p if 0 < p < math.inf else 1.0 for p in pixdim[1:4])
+        vox_offset = struct.unpack_from("<f", hdr, 108)[0]
+        if not VOX_OFFSET <= vox_offset < math.inf:  # NaN fails both
+            raise NiftiError(f"{path}: vox_offset {vox_offset}, expected finite >= {VOX_OFFSET}")
         scl_slope, scl_inter = struct.unpack_from("<2f", hdr, 112)
         scaled = (math.isfinite(scl_slope) and scl_slope != 0
                   and (scl_slope, scl_inter) != (1.0, 0.0))
         if scaled and not math.isfinite(scl_inter):
             raise NiftiError(f"{path}: scl_inter {scl_inter} with scl_slope {scl_slope}")
 
-        f.read(vox_offset - HEADER_SIZE)
+        f.read(int(vox_offset) - HEADER_SIZE)
         dtype = _DTYPES[datatype]
         nbytes = int(np.prod(dims)) * dtype.itemsize
         raw = f.read(nbytes)

@@ -63,17 +63,16 @@ def soft_dice(p: Volume, g: Volume, smooth: float = 1e-6) -> float:
     return num / den
 
 
-def overlap_report(pred: Volume, gt: Volume, spacing=None) -> OverlapReport:
+def overlap_report(pred: Volume, gt: Volume) -> OverlapReport:
+    """Overlap counts of pred against gt; the mm³ volumes take gt's spacing."""
     _check_dims(pred, gt)
-    if spacing is None:
-        spacing = gt.spacing
     p = pred.data.astype(bool)
     g = gt.data.astype(bool)
     tp = int(np.count_nonzero(p & g))
     fp = int(np.count_nonzero(p & ~g))
     fn = int(np.count_nonzero(~p & g))
     neg = g.size - int(np.count_nonzero(g))
-    voxel_mm3 = float(np.prod(spacing))
+    voxel_mm3 = float(np.prod(gt.spacing))
     return OverlapReport(
         dice=dice(pred, gt),
         tp=tp, fp=fp, fn=fn,

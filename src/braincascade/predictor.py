@@ -25,6 +25,7 @@ from .volume import Kind, Volume, read_box
 
 PROTOCOL_MAGIC = b"CPRD"
 PROTOCOL_VERSION = 1
+POLL_SLICE_S = 60.0  # longest single poll() wait: poll takes a C int of milliseconds
 
 
 class PredictorError(Exception):
@@ -183,14 +184,16 @@ class ExternalPredictor(Predictor):
     handshake magic "CPRD" + version u32 + window u32 in both directions
     (windows must match); then per request an origin (3 x i64) and w^3
     float32 intensities, answered by w^3 float32 probabilities. Both patches
-    travel in C order: the last axis varies fastest. A reply that takes
-    longer than ``timeout`` seconds fails the request and kills the child.
+    travel in C order: the last axis varies fastest. A reply slower than
+    ``timeout`` seconds (finite, positive) fails the request and kills the child.
     """
 
     def __init__(self, command: list[str], window: int, timeout: float = 30.0,
                  id: str = "external"):
         super().__init__(id, window)
         self.timeout = float(timeout)
+        if not 0 < self.timeout < math.inf:
+            raise ValueError(f"{id}: timeout must be finite and positive, got {timeout}")
         try:
             self._proc = subprocess.Popen(
                 command, stdin=subprocess.PIPE, stdout=subprocess.PIPE
@@ -234,14 +237,15 @@ class ExternalPredictor(Predictor):
         got = 0
         while got < n:
             remaining = deadline - time.monotonic()
-            if remaining <= 0 or not poller.poll(remaining * 1000):
+            if remaining <= 0:
                 # kill it: a late reply would otherwise answer the next window
                 self._proc.kill()
                 raise PredictorError(f"{self.id}: timeout during {context}")
-            k = os.readv(fd, [view[got:]])
-            if not k:
-                raise PredictorError(f"{self.id}: process closed stream during {context}")
-            got += k
+            if poller.poll(min(remaining, POLL_SLICE_S) * 1000):
+                k = os.readv(fd, [view[got:]])
+                if not k:
+                    raise PredictorError(f"{self.id}: process closed stream during {context}")
+                got += k
         return buf
 
     def _predict(self, patch, origin):

@@ -51,8 +51,8 @@ class Volume:
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
         object.__setattr__(self, "kind", Kind(self.kind))
-        if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
-            raise ValueError(f"spacing must be 3 positive reals, got {self.spacing}")
+        if len(self.spacing) != 3 or not all(0 < s < np.inf for s in self.spacing):
+            raise ValueError(f"spacing must be 3 finite positive reals, got {self.spacing}")
         if self.kind is Kind.MASK:
             if not is_binary(data):
                 raise ValueError("mask volume contains values outside {0, 1}")
@@ -96,27 +96,21 @@ class BoundingBox:
         return BoundingBox((0, 0, 0), tuple(dims))
 
 
-def resample(vol: Volume, target_spacing, interp: str = "linear") -> Volume:
+def resample(vol: Volume, target_spacing) -> Volume:
     """Resample a volume to a new voxel spacing.
 
     Output dims are round-half-up of ``dims * spacing / target_spacing``.
-    Linear interpolation clamps to edge values outside the grid; it is
-    rejected for label and mask volumes, which must use nearest-neighbor.
+    Label and mask volumes are resampled nearest-neighbor, every other kind
+    linearly; both clamp to edge values outside the grid.
 
     Interpolation runs per axis. Nearest-neighbor output equals
     ``scipy.ndimage.map_coordinates(order=0, mode="nearest")`` exactly;
     linear output (float32) is within 1 float32 ulp of ``order=1``.
     """
     target_spacing = tuple(float(s) for s in np.broadcast_to(target_spacing, 3))
-    if any(s <= 0 for s in target_spacing):
-        raise ValueError("target spacing must be positive")
-    if interp not in ("linear", "nearest"):
-        raise ValueError(f"unknown interpolation {interp!r}")
-    if interp == "linear" and vol.kind in (Kind.LABEL, Kind.MASK):
-        raise ValueError("linear interpolation is not valid for label/mask volumes; use nearest")
-
-    return _resample_to(vol, resampled_dims(vol.dims, vol.spacing, target_spacing),
-                        target_spacing, interp)
+    if not all(0 < s < np.inf for s in target_spacing):
+        raise ValueError(f"target spacing must be finite and positive, got {target_spacing}")
+    return _resample_to(vol, resampled_dims(vol.dims, vol.spacing, target_spacing), target_spacing)
 
 
 def resampled_dims(dims, spacing, target_spacing) -> tuple:
@@ -124,7 +118,7 @@ def resampled_dims(dims, spacing, target_spacing) -> tuple:
     return tuple(int(np.floor(d * s / t + 0.5)) for d, s, t in zip(dims, spacing, target_spacing))
 
 
-def _resample_to(vol: Volume, out_dims, target_spacing, interp: str) -> Volume:
+def _resample_to(vol: Volume, out_dims, target_spacing) -> Volume:
     """Resample onto an explicit output grid (voxel centers aligned in mm).
 
     Each output axis samples its input axis at ``(k + 0.5) * t / s - 0.5``,
@@ -133,7 +127,7 @@ def _resample_to(vol: Volume, out_dims, target_spacing, interp: str) -> Volume:
     """
     if out_dims == vol.dims and tuple(target_spacing) == vol.spacing:
         return vol  # volumes are immutable: nothing to copy
-    linear = interp == "linear"
+    linear = vol.kind not in (Kind.LABEL, Kind.MASK)
     out = vol.data.astype(np.float32) if linear else vol.data
     # shrinking axes first keeps the intermediate arrays small
     for axis in sorted(range(3), key=lambda a: out_dims[a] / max(vol.dims[a], 1)):
@@ -229,13 +223,14 @@ def unconform_cube(vol: Volume, original_dims) -> Volume:
 
 
 def minmax_normalize(vol: Volume) -> Volume:
-    """Rescale an intensity volume to [0, 1]; constant input maps to zeros."""
+    """Rescale finite intensities to [0, 1]; constant input maps to zeros."""
     if vol.kind is not Kind.INTENSITY:
         raise ValueError("minmax_normalize expects an intensity volume")
     data = vol.data.astype(np.float32)  # the one copy, rescaled in place
     lo, hi = float(data.min()), float(data.max())
-    if hi == lo:
-        return Volume(np.zeros_like(data), vol.spacing, vol.kind)
-    data -= lo
-    data /= hi - lo
+    if not -np.inf < lo <= hi < np.inf:  # a NaN anywhere makes min and max NaN
+        raise ValueError(f"intensities must be finite, got min {lo} and max {hi}")
+    data -= lo  # constant input becomes all zeros
+    if hi > lo:
+        data /= hi - lo
     return Volume(data, vol.spacing, vol.kind)

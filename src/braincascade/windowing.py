@@ -71,13 +71,13 @@ def snap_plan_into(plan: WindowPlan, dims) -> WindowPlan:
     return WindowPlan(plan.region, w, snapped)
 
 
-def coverage_counts(plan: WindowPlan) -> Volume:
-    """Number of windows covering each voxel of the region."""
+def coverage_counts(plan: WindowPlan) -> np.ndarray:
+    """Number of windows covering each voxel of the region (int32)."""
     counts = np.zeros(plan.region.shape, dtype=np.int32)
     for overlap in _region_overlaps(plan):
         if overlap is not None:
             counts[overlap[0]] += 1
-    return Volume(counts, (1.0, 1.0, 1.0), Kind.LABEL)
+    return counts
 
 
 def _region_overlaps(plan: WindowPlan):
@@ -118,6 +118,6 @@ def run_windows(vol: Volume, plan: WindowPlan, predictor: Predictor,
             acc[overlap[0]] += pred.data[overlap[1]]
 
     if mode == "mean":
-        counts = coverage_counts(plan).data
+        counts = coverage_counts(plan)
         acc = np.divide(acc, counts, out=np.zeros_like(acc), where=counts > 0)
     return Volume(acc, vol.spacing, Kind.PROBABILITY)

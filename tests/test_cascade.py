@@ -74,8 +74,7 @@ class TestBfsLocalize:
     def test_oracle_box_contains_brain(self, rng):
         img, gt = phantom_case(1, (96, 96, 96))
         config = small_oracle_config(gt)
-        box, status = bfs_localize(img, config)
-        assert status == STATUS_OK
+        box = bfs_localize(img, config)
         gt_box = bounding_box(gt)
         assert all(a <= b for a, b in zip(box.mins, gt_box.mins))
         assert all(a >= b for a, b in zip(box.maxs, gt_box.maxs))
@@ -86,8 +85,7 @@ class TestBfsLocalize:
             bfs_stages=[StageSpec("z", ConstantPredictor(0.0, 32), 32)],
             dfs_stages=[StageSpec("z2", ConstantPredictor(0.0, 16), 16)],
         )
-        box, status = bfs_localize(img, config)
-        assert status == STATUS_NO_BRAIN and box is None
+        assert bfs_localize(img, config) is None
 
     def test_largest_blob_wins(self):
         # two disjoint blobs: the box must fit only the larger one
@@ -97,22 +95,20 @@ class TestBfsLocalize:
         gt = mask(gt_data)
         img = intensity(np.zeros((64, 64, 64)))
         config = small_oracle_config(gt)
-        box, status = bfs_localize(img, config)
-        assert status == STATUS_OK
+        box = bfs_localize(img, config)
         assert box.mins == (8, 8, 8) and box.maxs == (13, 12, 13)
 
     def test_intersection_combine(self, rng):
         img, gt = phantom_case(2, (96, 96, 96))
         config = small_oracle_config(gt, bfs_combine="intersection")
-        box, status = bfs_localize(img, config)
-        assert status == STATUS_OK
+        assert bfs_localize(img, config) is not None
 
 
 class TestDfsRefine:
     def test_oracle_dice(self):
         img, gt = phantom_case(3, (96, 96, 96))
         config = small_oracle_config(gt)
-        box, _ = bfs_localize(img, config)
+        box = bfs_localize(img, config)
         result = dfs_refine(img, box, config)
         assert result.status == STATUS_OK
         assert metrics.dice(result.mask, gt) >= 0.99
@@ -125,7 +121,7 @@ class TestDfsRefine:
             dfs_stages=[StageSpec("z", ConstantPredictor(0.0, 32), 16),
                         StageSpec("z2", ConstantPredictor(0.0, 16), 8)],
         )
-        box, _ = bfs_localize(img, config)
+        box = bfs_localize(img, config)
         result = dfs_refine(img, box, config)
         assert result.status == STATUS_NO_BRAIN
         assert result.mask.data.sum() == 0
@@ -133,7 +129,7 @@ class TestDfsRefine:
     def test_vote_needs_two_of_three(self):
         img, gt = phantom_case(4, (96, 96, 96))
         config = small_oracle_config(gt)
-        box, _ = bfs_localize(img, config)
+        box = bfs_localize(img, config)
         result = dfs_refine(img, box, config)
         votes = sum(reconstruct_full(m, box, img.dims).data.astype(int)
                     for m in result.stage_masks.values())
@@ -142,7 +138,7 @@ class TestDfsRefine:
     def test_roi_volumes_non_increasing_with_oracles(self):
         img, gt = phantom_case(5, (96, 96, 96))
         config = small_oracle_config(gt)
-        box, _ = bfs_localize(img, config)
+        box = bfs_localize(img, config)
         result = dfs_refine(img, box, config)
         volumes = [box.volume] + [b.volume for _, b in result.roi_trace]
         assert all(a >= b for a, b in zip(volumes, volumes[1:]))
@@ -213,10 +209,29 @@ class TestExtractBrain:
         img, gt = phantom_case(8)
         noise = NoiseSpec(per_voxel_fp=0.1)
         config = default_noisy_config(gt, noise, master_seed=0)
-        box, _ = bfs_localize(img, config)
+        box = bfs_localize(img, config)
         result = dfs_refine(img, box, config)
-        single = single_pass_extract(img, config.bfs_stages[0], alpha=config.alpha)
+        single = single_pass_extract(img, config.bfs_stages[0], config)
         assert metrics.dice(result.mask, gt) > metrics.dice(single, gt)
+
+    def test_single_pass_follows_accumulate_mode(self):
+        # overlapping windows of 0.15 sum past alpha 0.2 but average below it
+        img = intensity(np.zeros((32, 32, 32)))
+        stage = StageSpec("c", ConstantPredictor(0.15, 16), 8)
+        summed, averaged = (
+            single_pass_extract(img, stage, CascadeConfig([stage], [stage], accumulate_mode=m))
+            for m in ("sum", "mean"))
+        assert summed.data.any() and not averaged.data.any()
+
+    def test_restore_native_reads_conformed_spacing(self):
+        dims, spacing = (30, 12, 25), (0.9, 2.5, 1.1)
+        data = np.zeros(dims, np.uint8)
+        data[5:25, 3:9, 4:20] = 1
+        native = Volume(data, spacing, Kind.MASK)
+        conformed = cascade.conform_input(native, 24, 2.0)
+        out = cascade.restore_native(conformed, dims, spacing)
+        assert out.dims == dims and out.spacing == spacing
+        assert metrics.dice(out, native) >= 0.8
 
 
 class TestMaskDigests:

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import struct
 import sys
 
 import numpy as np
@@ -344,6 +345,44 @@ class TestConfigErrors:
         cfg = {"predictor": {"backend": "noisy_oracle", "fp_blob_radius": radius}}
         assert self.extract(tmp_path, phantom_files, cfg) == 1
         self.one_line_error(capsys, "predictor", "'fp_blob_radius'", "two numbers")
+
+
+class TestMalformedInput:
+    """A malformed scan, flag or timeout ends in one `error:` line, exit 1."""
+
+    @pytest.mark.parametrize("what, value, names", [
+        ("vox_offset", float("inf"), ["img.nii: vox_offset inf"]),
+        ("vox_offset", float("nan"), ["img.nii: vox_offset nan"]),
+        ("--spacing", "inf", ["target spacing", "inf"]),
+        ("--spacing", "nan", ["target spacing", "nan"]),
+        ("timeout", float("inf"), ["timeout must be finite", "inf"]),
+        ("timeout", float("nan"), ["timeout must be finite", "nan"]),
+        ("intensity", float("nan"), ["intensities must be finite"]),
+    ], ids=["vox_offset-inf", "vox_offset-nan", "spacing-inf", "spacing-nan",
+            "timeout-inf", "timeout-nan", "intensity-nan"])
+    def test_one_line_error(self, tmp_path, phantom_files, capsys, what, value, names):
+        img_path, gt_path = phantom_files
+        cfg = oracle_config(tmp_path, gt_path)
+        flags = []
+        if what == "vox_offset":
+            raw = bytearray(img_path.read_bytes())
+            struct.pack_into("<f", raw, 108, value)
+            img_path.write_bytes(bytes(raw))
+        elif what == "--spacing":
+            flags = [what, value]
+        elif what == "timeout":
+            cfg.write_text(json.dumps({"predictor": {
+                "backend": "external", "timeout": value,
+                "command": [sys.executable, SERVER, "constant"]}}))
+        else:
+            img = io_nifti.read_nifti(img_path)
+            img.data[40, 50, 60] = value
+            io_nifti.write_nifti(img, img_path, "float32")
+        code = main(["extract", str(img_path), "--config", str(cfg),
+                     "--out", str(tmp_path / "mask.nii"), "--side", "96", *flags])
+        assert code == 1
+        TestConfigErrors.one_line_error(capsys, *names)
+        assert not (tmp_path / "mask.nii").exists()
 
 
 class TestSynth:

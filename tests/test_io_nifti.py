@@ -79,6 +79,23 @@ class TestRead:
         with pytest.raises(NiftiError, match="scl_inter"):
             read_nifti(path)
 
+    @pytest.mark.parametrize("offset", [float("inf"), float("nan"), float("-inf")])
+    def test_non_finite_vox_offset(self, tmp_path, offset):
+        path = tmp_path / "offset.nii"
+        raw = bytearray(build_header((2, 2, 2), 16) + np.zeros(8, "<f4").tobytes())
+        struct.pack_into("<f", raw, 108, offset)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(NiftiError) as e:
+            read_nifti(path)
+        assert str(e.value).startswith(f"{path}: vox_offset")
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -2.0])
+    def test_unusable_pixdim_reads_as_one(self, tmp_path, bad):
+        path = tmp_path / "pixdim.nii"
+        path.write_bytes(build_header((2, 2, 2), 16, pixdim=(0.5, bad, 2.0))
+                         + np.zeros(8, "<f4").tobytes())
+        assert read_nifti(path).spacing == (0.5, 1.0, 2.0)
+
     def test_gzip_accepted(self, tmp_path, rng):
         plain = tmp_path / "vol.nii"
         vol = Volume(rng.random((5, 6, 7)).astype(np.float32))

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from braincascade import predictor
 from braincascade.predictor import (
     ConstantPredictor, ExternalPredictor, NoiseSpec, NoisyOraclePredictor,
     OraclePredictor, PredictorError, _squared_distances,
@@ -291,3 +292,27 @@ class TestExternal:
     def test_unspawnable_command(self):
         with pytest.raises(PredictorError):
             ExternalPredictor(["/nonexistent/binary"], 8)
+
+    @pytest.mark.parametrize("timeout", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_timeout_checked_before_spawn(self, timeout):
+        # a command that cannot spawn: the timeout is refused first
+        with pytest.raises(ValueError, match="timeout must be finite and positive"):
+            ExternalPredictor(["/nonexistent/binary"], 8, timeout=timeout)
+
+    def test_long_timeout_works(self):
+        h = ExternalPredictor(self.server("constant", "0.5"), 8, timeout=1e300)
+        try:
+            assert (h.predict(zero_patch(8), (0, 0, 0)).data == 0.5).all()
+        finally:
+            h.close()
+
+    def test_timeout_spans_poll_slices(self, monkeypatch):
+        monkeypatch.setattr(predictor, "POLL_SLICE_S", 0.1)
+        h = ExternalPredictor(self.server("hang"), 8, timeout=0.5)
+        try:
+            start = time.monotonic()
+            with pytest.raises(PredictorError, match="timeout"):
+                h.predict(zero_patch(8), (0, 0, 0))
+            assert 0.5 <= time.monotonic() - start < 3
+        finally:
+            h.close()

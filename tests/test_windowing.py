@@ -73,11 +73,11 @@ class TestPlanWindows:
 class TestCoverage:
     def test_exact_tiling(self):
         plan = plan_windows(BoundingBox((0, 0, 0), (64, 64, 64)), 32, 32)
-        assert (coverage_counts(plan).data == 1).all()
+        assert (coverage_counts(plan) == 1).all()
 
     def test_overlap_counts(self):
         plan = plan_windows(BoundingBox((0, 0, 0), (192, 192, 192)), 128, 64)
-        counts = coverage_counts(plan).data
+        counts = coverage_counts(plan)
         axis = counts[:, 0, 0]
         assert (axis[:64] == 1).all()
         assert (axis[64:128] == 2).all()
@@ -85,7 +85,7 @@ class TestCoverage:
 
     def test_single_window(self):
         plan = plan_windows(BoundingBox((0, 0, 0), (20, 20, 20)), 32, 8)
-        assert (coverage_counts(plan).data == 1).all()
+        assert (coverage_counts(plan) == 1).all()
 
     def test_full_coverage_randomized(self, rng):
         for _ in range(50):
@@ -93,7 +93,7 @@ class TestCoverage:
             w = int(rng.integers(4, extent + 8))
             s = int(rng.integers(1, w + 1))
             plan = plan_windows(BoundingBox((0, 0, 0), (extent,) * 3), w, s)
-            assert coverage_counts(plan).data.min() >= 1
+            assert coverage_counts(plan).min() >= 1
             last = max(o[0] for o in plan.origins)
             assert last + w >= extent
 
