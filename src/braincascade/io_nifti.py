@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import gzip
 import math
+import os
 import struct
+import sys
 
 import numpy as np
 
@@ -34,6 +36,11 @@ _DTYPES = {
     DT_FLOAT32: np.dtype("<f4"),
 }
 _CODES = {"uint8": DT_UINT8, "int16": DT_INT16, "float32": DT_FLOAT32}
+
+
+# bytes read from a gzip stream at a time: its header's dims claim a size that
+# only reading the stream can confirm
+_GZIP_CHUNK = 1 << 24
 
 
 class NiftiError(Exception):
@@ -89,10 +96,15 @@ def read_nifti(path, kind: Kind = Kind.INTENSITY) -> Volume:
         if scaled and not math.isfinite(scl_inter):
             raise NiftiError(f"{path}: scl_inter {scl_inter} with scl_slope {scl_slope}")
 
-        f.read(int(vox_offset) - HEADER_SIZE)
         dtype = _DTYPES[datatype]
-        nbytes = int(np.prod(dims)) * dtype.itemsize
-        raw = f.read(nbytes)
+        nbytes = math.prod(dims) * dtype.itemsize
+        if isinstance(f, gzip.GzipFile):
+            f.seek(min(int(vox_offset), sys.maxsize))  # reads forward, stops at the end
+            raw = _read_gzip(f, nbytes)
+        else:  # read no more than the file holds
+            size = os.fstat(f.fileno()).st_size
+            f.seek(min(int(vox_offset), size))
+            raw = f.read(min(nbytes, size - f.tell()))
         if len(raw) < nbytes:
             raise NiftiError(f"{path}: truncated data ({len(raw)} of {nbytes} bytes)")
 
@@ -103,6 +115,18 @@ def read_nifti(path, kind: Kind = Kind.INTENSITY) -> Volume:
     else:
         data = np.ascontiguousarray(data)
     return Volume(data, spacing, kind)
+
+
+def _read_gzip(f, nbytes: int):
+    """Up to ``nbytes`` of a gzip stream, read in bounded chunks into one
+    buffer, so that a header claiming more than the stream holds costs no
+    more memory than the stream holds."""
+    raw = f.read(min(nbytes, _GZIP_CHUNK))
+    if len(raw) == _GZIP_CHUNK < nbytes:
+        raw = bytearray(raw)  # grows in place: no list of chunks to join
+        while len(raw) < nbytes and (chunk := f.read(min(nbytes - len(raw), _GZIP_CHUNK))):
+            raw += chunk
+    return raw
 
 
 def write_nifti(vol: Volume, path, datatype: str | None = None) -> None:

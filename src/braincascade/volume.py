@@ -128,33 +128,53 @@ def _resample_to(vol: Volume, out_dims, target_spacing) -> Volume:
     if out_dims == vol.dims and tuple(target_spacing) == vol.spacing:
         return vol  # volumes are immutable: nothing to copy
     linear = vol.kind not in (Kind.LABEL, Kind.MASK)
-    out = vol.data.astype(np.float32) if linear else vol.data
+    out = vol.data.astype(np.float32, copy=False) if linear else vol.data
     # shrinking axes first keeps the intermediate arrays small
-    for axis in sorted(range(3), key=lambda a: out_dims[a] / max(vol.dims[a], 1)):
+    order = sorted(range(3), key=lambda a: out_dims[a] / max(vol.dims[a], 1))
+    for axis in order:
         n, d = out_dims[axis], vol.dims[axis]
         c = (np.arange(n) + 0.5) * target_spacing[axis] / vol.spacing[axis] - 0.5
-        if linear:
-            out = interp_axis(out, c, axis)
+        if linear:  # the last axis rounds straight to float32
+            out = interp_axis(out, c, axis, np.float32 if axis == order[-1] else np.float64)
         else:
             out = np.take(out, np.clip(np.floor(c + 0.5).astype(np.intp), 0, d - 1), axis=axis)
-    if linear:
-        out = out.astype(np.float32)
     return Volume(out, tuple(target_spacing), vol.kind)
 
 
-def interp_axis(data: np.ndarray, c: np.ndarray, axis: int) -> np.ndarray:
+# bytes of float64 output per slab: the slab's two float64 products and its
+# input rows then fit in a 1-2 MiB L2 cache
+_SLAB_BYTES = 1 << 18
+
+
+def interp_axis(data: np.ndarray, c: np.ndarray, axis: int, dtype=np.float64) -> np.ndarray:
     """Linear interpolation along one axis: output index k along ``axis``
     reads the input at position ``c[k]``.
 
     Indices clamp to the edge, as ``map_coordinates`` does with
-    ``mode="nearest"``. The weights are float64, and so is the result.
+    ``mode="nearest"``. The weights and the arithmetic are float64,
+    ``take(lo) * (1 - w) + take(lo + 1) * w``, done in slabs along another
+    axis so that the temporaries stay in cache; each slab's sum is rounded
+    once to ``dtype``, the dtype of the result.
     """
     d = data.shape[axis]
     lo = np.floor(c)
     w = (c - lo).reshape([-1 if a == axis else 1 for a in range(data.ndim)])
     lo = lo.astype(np.intp)
-    out = np.take(data, np.clip(lo, 0, d - 1), axis=axis) * (1.0 - w)
-    out += np.take(data, np.clip(lo + 1, 0, d - 1), axis=axis) * w
+    lo, hi, w_lo = np.clip(lo, 0, d - 1), np.clip(lo + 1, 0, d - 1), 1.0 - w
+    shape = data.shape[:axis] + (len(c),) + data.shape[axis + 1:]
+    out = np.empty(shape, dtype)
+    slab_axis = 1 if axis == 0 else 0
+    rows = max(1, _SLAB_BYTES * shape[slab_axis] // max(8 * out.size, 1))
+    for i in range(0, shape[slab_axis], rows):
+        slab = (slice(None),) * slab_axis + (slice(i, i + rows),)
+        a = np.take(data[slab], lo, axis=axis)
+        b = np.take(data[slab], hi, axis=axis)
+        if a.dtype == np.float64:
+            a *= w_lo
+            b *= w
+        else:
+            a, b = a * w_lo, b * w
+        np.add(a, b, out=out[slab])
     return out
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import gzip
 import hashlib
 import json
 import os
@@ -180,8 +181,11 @@ class TestExtract:
         """Pins the bytes of the mask `extract` writes for an anisotropic scan.
 
         The scan and the ground truth are resampled to the 1 mm grid and the
-        mask back to the scan's grid, so any change to resampling, conforming
-        or the cascade that moves one voxel changes this digest.
+        mask back to the scan's grid. The oracle ignores intensities, so only
+        nearest resampling (of the ground truth and the mask), conforming and
+        the cascade reach this digest: a change to any of them that moves one
+        voxel changes it. Linear resampling of the scan does not reach it;
+        `TestLinearResamplePin` in test_volume.py pins its bytes.
         """
         spacing = (0.9, 2.5, 1.1)
         dims = (86, 32, 72)
@@ -353,20 +357,31 @@ class TestMalformedInput:
     @pytest.mark.parametrize("what, value, names", [
         ("vox_offset", float("inf"), ["img.nii: vox_offset inf"]),
         ("vox_offset", float("nan"), ["img.nii: vox_offset nan"]),
+        ("vox_offset", 1e12, ["img.nii: truncated data (0 of 3538944 bytes)"]),
+        ("vox_offset gz", 1e12, ["img.nii.gz: truncated data (0 of 3538944 bytes)"]),
+        ("dims", 30000, ["img.nii: truncated data (3538944 of 108000000000000 bytes)"]),
+        ("dims gz", 30000, ["img.nii.gz: truncated data (3538944 of 108000000000000 bytes)"]),
         ("--spacing", "inf", ["target spacing", "inf"]),
         ("--spacing", "nan", ["target spacing", "nan"]),
         ("timeout", float("inf"), ["timeout must be finite", "inf"]),
         ("timeout", float("nan"), ["timeout must be finite", "nan"]),
         ("intensity", float("nan"), ["intensities must be finite"]),
-    ], ids=["vox_offset-inf", "vox_offset-nan", "spacing-inf", "spacing-nan",
+    ], ids=["vox_offset-inf", "vox_offset-nan", "vox_offset-1e12", "vox_offset-1e12-gz",
+            "dims-30000^3", "dims-30000^3-gz", "spacing-inf", "spacing-nan",
             "timeout-inf", "timeout-nan", "intensity-nan"])
     def test_one_line_error(self, tmp_path, phantom_files, capsys, what, value, names):
         img_path, gt_path = phantom_files
         cfg = oracle_config(tmp_path, gt_path)
         flags = []
-        if what == "vox_offset":
+        if what.startswith(("vox_offset", "dims")):
             raw = bytearray(img_path.read_bytes())
-            struct.pack_into("<f", raw, 108, value)
+            if what.startswith("vox_offset"):
+                struct.pack_into("<f", raw, 108, value)
+            else:
+                struct.pack_into("<3h", raw, 42, value, value, value)
+            if what.endswith("gz"):
+                img_path = img_path.with_suffix(".nii.gz")
+                raw = gzip.compress(raw, 1)
             img_path.write_bytes(bytes(raw))
         elif what == "--spacing":
             flags = [what, value]

@@ -1,10 +1,12 @@
 import gzip
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from braincascade import io_nifti
 from braincascade.io_nifti import (
     HEADER_SIZE, MAGIC, VOX_OFFSET, NiftiError, read_nifti, write_nifti,
 )
@@ -89,6 +91,33 @@ class TestRead:
             read_nifti(path)
         assert str(e.value).startswith(f"{path}: vox_offset")
 
+    @pytest.mark.parametrize("gz", [False, True], ids=["nii", "nii.gz"])
+    @pytest.mark.parametrize("field, value, nbytes", [
+        ("vox_offset", 1e12, 32),
+        ("vox_offset", 3e38, 32),
+        ("dims", 30000, 4 * 30000 ** 3),
+    ], ids=["vox_offset-1e12", "vox_offset-3e38", "dims-30000^3"])
+    def test_header_claims_more_than_the_file_holds(self, tmp_path, gz, field, value, nbytes):
+        # the reader allocates at most what the file holds (plus one bounded
+        # gzip chunk) and names the file, whatever the header claims
+        raw = bytearray(build_header((2, 2, 2), 16) + np.zeros(8, "<f4").tobytes())
+        if field == "vox_offset":
+            struct.pack_into("<f", raw, 108, value)
+        else:
+            struct.pack_into("<3h", raw, 42, value, value, value)
+        path = tmp_path / ("big.nii.gz" if gz else "big.nii")
+        path.write_bytes(gzip.compress(bytes(raw)) if gz else bytes(raw))
+        held = 0 if field == "vox_offset" else 32
+        tracemalloc.start()
+        try:
+            with pytest.raises(NiftiError) as e:
+                read_nifti(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(e.value) == f"{path}: truncated data ({held} of {nbytes} bytes)"
+        assert peak < io_nifti._GZIP_CHUNK + (1 << 20)
+
     @pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -2.0])
     def test_unusable_pixdim_reads_as_one(self, tmp_path, bad):
         path = tmp_path / "pixdim.nii"
@@ -104,6 +133,38 @@ class TestRead:
         gz.write_bytes(gzip.compress(plain.read_bytes()))
         back = read_nifti(gz)
         np.testing.assert_array_equal(back.data, vol.data)
+
+    def test_gzip_read_in_chunks(self, tmp_path, rng, monkeypatch):
+        monkeypatch.setattr(io_nifti, "_GZIP_CHUNK", 1000)
+        vol = Volume(rng.random((9, 10, 11)).astype(np.float32))  # 3960 bytes: 4 chunks
+        plain = tmp_path / "vol.nii"
+        write_nifti(vol, plain, "float32")
+        gz = tmp_path / "vol.nii.gz"
+        gz.write_bytes(gzip.compress(plain.read_bytes()))
+        np.testing.assert_array_equal(read_nifti(gz).data, vol.data)
+        gz.write_bytes(gzip.compress(plain.read_bytes()[:-1]))
+        with pytest.raises(NiftiError, match=r"truncated data \(3959 of 3960 bytes\)"):
+            read_nifti(gz)
+
+    @pytest.mark.parametrize("gz", [False, True], ids=["nii", "nii.gz"])
+    def test_valid_file_read_holds_one_copy(self, tmp_path, rng, monkeypatch, gz):
+        # the raw bytes (grown in place when gzip is read in chunks) and the
+        # array made from them, never a second copy of the raw bytes
+        monkeypatch.setattr(io_nifti, "_GZIP_CHUNK", 1 << 16)
+        vol = Volume(rng.random((40, 50, 60)).astype(np.float32))
+        path = tmp_path / "vol.nii"
+        write_nifti(vol, path, "float32")
+        if gz:
+            path = path.with_suffix(".nii.gz")
+            path.write_bytes(gzip.compress((tmp_path / "vol.nii").read_bytes(), 1))
+        tracemalloc.start()
+        try:
+            back = read_nifti(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(back.data, vol.data)
+        assert peak <= 2.25 * vol.data.nbytes
 
     @pytest.mark.parametrize("ndim,nt", [(4, 1), (4, 2), (5, 1)])
     def test_trailing_time_dim(self, tmp_path, rng, ndim, nt):

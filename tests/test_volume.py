@@ -1,10 +1,14 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import ndimage
 
+from braincascade import volume
 from braincascade.volume import (
     Kind, Volume, conform_cube, minmax_normalize, read_box, resample,
-    unconform_cube,
+    resampled_dims, unconform_cube,
 )
 from conftest import intensity, mask
 
@@ -160,6 +164,103 @@ class TestResampleReference:
         out = resample(vol, (1.0, 0.4, 1.0))
         assert out.dims == (15, 3, 6)
         assert (out.data == np.float32(0.3)).all()
+
+
+def whole_array_linear(vol, target):
+    """The linear resampler as one float64 formula over whole arrays: each
+    axis reads ``take(lo) * (1 - w) + take(lo + 1) * w``, shrinking axes
+    first, and the result is rounded to float32 once at the end."""
+    out_dims = resampled_dims(vol.dims, vol.spacing, target)
+    out = vol.data.astype(np.float32)
+    for axis in sorted(range(3), key=lambda a: out_dims[a] / max(vol.dims[a], 1)):
+        d = vol.dims[axis]
+        c = (np.arange(out_dims[axis]) + 0.5) * target[axis] / vol.spacing[axis] - 0.5
+        lo = np.floor(c)
+        w = (c - lo).reshape([-1 if a == axis else 1 for a in range(3)])
+        lo = lo.astype(np.intp)
+        out = (np.take(out, np.clip(lo, 0, d - 1), axis=axis) * (1.0 - w)
+               + np.take(out, np.clip(lo + 1, 0, d - 1), axis=axis) * w)
+    return out.astype(np.float32)
+
+
+def thick_axis(axis):
+    """Dims and spacing of a small stack whose slices are 3.1 mm along ``axis``."""
+    dims, spacing = [31, 30, 29], [0.8, 0.82, 0.85]
+    dims[axis], spacing[axis] = 9, 3.1
+    return tuple(dims), tuple(spacing)
+
+
+# name: (seed, dims, spacing, input dtype, SHA-256 of the float32 output bytes);
+# at 1 mm the last two resample a 1-voxel axis to 2 voxels, and 3 voxels of
+# 0.3 mm to 1 voxel
+LINEAR_PINS = {
+    "f4-thick0": (40, *thick_axis(0), np.float32,
+                   "0381996dfa3025c46a209b43c8cba4aa8d35036bc6207a7e9a81260d0a21c3f3"),
+    "f4-thick1": (41, *thick_axis(1), np.float32,
+                   "b2c04a546c546c990deaa9deaf22a5fa7be4048c21e6dfed5dad7582d370ac94"),
+    "f4-thick2": (42, *thick_axis(2), np.float32,
+                   "2f684c8bd2d593cfdc2d5f3db297f38b02fa738af2876fd35421adf73f58a226"),
+    "f8-thick0": (43, *thick_axis(0), np.float64,
+                   "162f8f3c74e95923015527de912774244787601222bcd8a62d0d5ba763d0d6d9"),
+    "f8-thick1": (44, *thick_axis(1), np.float64,
+                   "4e608966caad7359f9f3dcb4cc83f62657bff8ebf21e64beaffe0cef95cbbe64"),
+    "f8-thick2": (45, *thick_axis(2), np.float64,
+                   "feb51d1ec1e601e04a7a62efa4e4265baa5478d8e9cc00f8b9156d335deb3de9"),
+    "i2-thick0": (46, *thick_axis(0), np.int16,
+                   "af132362b887bf02a0d2fae3eab3c365f5626ee13d35a2126bf966778d9fe248"),
+    "i2-thick1": (47, *thick_axis(1), np.int16,
+                   "8a0d1360be4dc996af3f1cdd553f4426380dec21e26f336fe2e7935be5ff1260"),
+    "i2-thick2": (48, *thick_axis(2), np.int16,
+                   "31f66da1e9f43de1e0d60c69a1244e0be52be6dac0541845190261121e19783e"),
+    "axis-of-length-1": (60, (1, 20, 30), (2.0, 0.8, 1.1), np.float32,
+                         "4d116a7b1ea8cd9e09d3f643970d7e5c4689f5adae39c45b418cb148befdc18f"),
+    "output-of-length-1": (61, (3, 17, 9), (0.3, 1.3, 2.2), np.float32,
+                           "abeeafcc4bee2fd69404b8bff4bbc5735b697361b668e49d0dadeef6bc0d857d"),
+}
+
+
+class TestLinearResamplePin:
+    """Pins the bytes of linear resampling, which no mask digest sees (the
+    digest runs use an oracle and resample their masks nearest).
+
+    Each input is resampled with the default slab size, with one-row slabs
+    (a slab size of 1 byte) and with 20,000-byte slabs, which split these
+    outputs into several slabs with a ragged last one. All three must give
+    the bytes of the whole-array formula, and those bytes are pinned.
+    """
+
+    @pytest.mark.parametrize("slab_bytes", [None, 1, 20_000], ids=["default", "one-row", "ragged"])
+    @pytest.mark.parametrize("name", list(LINEAR_PINS))
+    def test_bytes(self, monkeypatch, name, slab_bytes):
+        seed, dims, spacing, dtype, digest = LINEAR_PINS[name]
+        rng = np.random.default_rng(seed)
+        if dtype == np.int16:
+            data = rng.integers(-3000, 3000, size=dims, dtype=np.int16)
+        else:
+            data = (rng.standard_normal(dims) * 1000).astype(dtype)
+        vol = Volume(data, spacing)
+        if slab_bytes is not None:
+            monkeypatch.setattr(volume, "_SLAB_BYTES", slab_bytes)
+        out = resample(vol, (1.0, 1.0, 1.0)).data
+        assert out.dtype == np.float32
+        assert out.tobytes() == whole_array_linear(vol, (1.0, 1.0, 1.0)).tobytes()
+        assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+
+
+def test_resample_peak_memory():
+    """Resampling a thick-slice scan shaped like the benchmark's native inputs
+    holds at most three outputs' worth of memory at its peak."""
+    rng = np.random.default_rng(14)
+    vol = intensity(rng.random((56, 216, 215), dtype=np.float32), (3.06, 0.8, 0.8))
+    out_bytes = 4 * int(np.prod(resampled_dims(vol.dims, vol.spacing, (1.0,) * 3)))
+    tracemalloc.start()
+    try:
+        out = resample(vol, (1.0, 1.0, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.data.nbytes == out_bytes
+    assert peak <= 3 * out_bytes, f"peak {peak / 1e6:.1f} MB for a {out_bytes / 1e6:.1f} MB output"
 
 
 class TestConformCube:
