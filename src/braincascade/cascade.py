@@ -13,7 +13,7 @@ is zero outside it) and zero-padded to full size once.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from numbers import Integral, Real
 
 import numpy as np
@@ -187,8 +187,7 @@ def extract_brain(vol: Volume, config: CascadeConfig,
         empty = Volume(np.zeros(conformed.dims, np.uint8), conformed.spacing, Kind.MASK)
         return ExtractionResult(empty, status=STATUS_NO_BRAIN)
     result = dfs_refine(conformed, box, config)
-    return ExtractionResult(result.mask, [("bfs", box)] + result.roi_trace,
-                            result.status, result.stage_masks)
+    return replace(result, roi_trace=[("bfs", box)] + result.roi_trace)
 
 
 def conform_input(vol: Volume, side: int = 192, spacing: float = 1.0) -> Volume:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -80,7 +81,7 @@ def cmd_extract(args) -> int:
         config.close()
 
     mask = cascade.restore_native(result.mask, vol.dims, vol.spacing)
-    io_nifti.write_nifti(mask, args.out, datatype="uint8")
+    io_nifti.write_nifti(mask, args.out)
 
     trace_path = args.trace or (os.path.splitext(args.out)[0] + "_trace.json")
     trace = {
@@ -134,8 +135,8 @@ def cmd_synth(args) -> int:
         img_path = os.path.join(args.outdir, f"image_{i:04d}.nii")
         mask_path = os.path.join(args.outdir, f"mask_{i:04d}.nii")
         side_path = os.path.join(args.outdir, f"pair_{i:04d}.json")
-        io_nifti.write_nifti(pair.image, img_path, datatype="float32")
-        io_nifti.write_nifti(pair.gt, mask_path, datatype="uint8")
+        io_nifti.write_nifti(pair.image, img_path)
+        io_nifti.write_nifti(pair.gt, mask_path)
         sidecar = dict(pair.metadata)
         sidecar["manifest"] = _manifest("synth", args.params, args.seed,
                                         [args.labelmap or "<phantom>"],
@@ -156,8 +157,6 @@ def cmd_eval(args) -> int:
                                  args.side, args.spacing)
     gt = cascade.conform_input(io_nifti.read_nifti(args.gt, kind=Kind.MASK),
                                args.side, args.spacing)
-    if pred.dims != gt.dims:
-        return _fail(f"dims mismatch after conforming: {pred.dims} vs {gt.dims}")
     report = metrics.overlap_report(pred, gt)
     case_id = os.path.basename(args.pred)
     if args.csv:
@@ -166,7 +165,7 @@ def cmd_eval(args) -> int:
             if new:
                 f.write(metrics.OverlapReport.CSV_HEADER + "\n")
             f.write(report.csv_row(case_id) + "\n")
-    print(json.dumps(report.to_dict(), indent=2))
+    print(json.dumps(dataclasses.asdict(report), indent=2))
     return 0
 
 
@@ -312,8 +311,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, io_nifti.NiftiError, PredictorError) as e:
-        return _fail(str(e))
+    except (OSError, ValueError, MemoryError, io_nifti.NiftiError, PredictorError) as e:
+        return _fail(str(e) or "out of memory")
 
 
 if __name__ == "__main__":

@@ -111,7 +111,7 @@ def read_nifti(path, kind: Kind = Kind.INTENSITY) -> Volume:
     # file order: dims[0] fastest; internal order: axis 0 slowest
     data = np.frombuffer(raw, dtype=dtype).reshape(dims, order="F")
     if scaled:
-        data = (data.astype(np.float32) * scl_slope + scl_inter).astype(np.float32)
+        data = data.astype(np.float32) * scl_slope + scl_inter
     else:
         data = np.ascontiguousarray(data)
     return Volume(data, spacing, kind)
@@ -170,4 +170,4 @@ def write_nifti(vol: Volume, path, datatype: str | None = None) -> None:
     with open(path, "wb") as f:
         f.write(bytes(hdr))
         f.write(b"\x00\x00\x00\x00")  # extension flag: none
-        f.write(np.asfortranarray(data.astype(dtype)).tobytes(order="F"))
+        f.write(data.astype(dtype, copy=False).tobytes(order="F"))

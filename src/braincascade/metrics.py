@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,9 +20,6 @@ class OverlapReport:
     pred_voxels: int
     gt_mm3: float
     pred_mm3: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     CSV_HEADER = "id,dice,tp,fp,fn,fp_rate,gt_voxels,pred_voxels,gt_mm3,pred_mm3"
 
@@ -66,19 +63,17 @@ def soft_dice(p: Volume, g: Volume, smooth: float = 1e-6) -> float:
 def overlap_report(pred: Volume, gt: Volume) -> OverlapReport:
     """Overlap counts of pred against gt; the mm³ volumes take gt's spacing."""
     _check_dims(pred, gt)
-    p = pred.data.astype(bool)
-    g = gt.data.astype(bool)
-    tp = int(np.count_nonzero(p & g))
-    fp = int(np.count_nonzero(p & ~g))
-    fn = int(np.count_nonzero(~p & g))
-    neg = g.size - int(np.count_nonzero(g))
+    tp = int(np.count_nonzero(np.logical_and(pred.data, gt.data)))
+    n_pred = int(np.count_nonzero(pred.data))
+    n_gt = int(np.count_nonzero(gt.data))
+    fp, neg = n_pred - tp, gt.data.size - n_gt
     voxel_mm3 = float(np.prod(gt.spacing))
     return OverlapReport(
         dice=dice(pred, gt),
-        tp=tp, fp=fp, fn=fn,
+        tp=tp, fp=fp, fn=n_gt - tp,
         fp_rate=fp / neg if neg else 0.0,
-        gt_voxels=int(np.count_nonzero(g)),
-        pred_voxels=int(np.count_nonzero(p)),
-        gt_mm3=float(np.count_nonzero(g)) * voxel_mm3,
-        pred_mm3=float(np.count_nonzero(p)) * voxel_mm3,
+        gt_voxels=n_gt,
+        pred_voxels=n_pred,
+        gt_mm3=n_gt * voxel_mm3,
+        pred_mm3=n_pred * voxel_mm3,
     )

@@ -221,4 +221,4 @@ def majority_vote(masks: list[Volume]) -> Volume:
     for m in masks:
         votes += m.data
     need = len(masks) // 2 + 1
-    return Volume((votes >= need).astype(np.uint8), masks[0].spacing, Kind.MASK)
+    return Volume((votes >= need).view(np.uint8), masks[0].spacing, Kind.MASK)

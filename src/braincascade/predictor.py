@@ -55,8 +55,10 @@ class NoiseSpec:
                 raise ValueError(f"{name!r} must be finite and non-negative, got {rate}")
         if not self.per_voxel_fp < 1:
             raise ValueError("per_voxel_fp must be < 1")
-        if not all(math.isfinite(r) for r in self.fp_blob_radius):
-            raise ValueError("fp_blob_radius must be finite")
+        lo, hi = self.fp_blob_radius
+        if not 0 <= lo <= hi < math.inf:  # NaN fails too
+            raise ValueError(f"'fp_blob_radius' must be finite [lo, hi] with "
+                             f"0 <= lo <= hi, got [{lo}, {hi}]")
 
 
 def _squared_distances(box, center) -> np.ndarray:

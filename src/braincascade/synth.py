@@ -53,6 +53,8 @@ class SynthesisParams:
                      "noise_sd_max", "warp_max", "bias_amplitude"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        if not self.scale_max < 1:  # scales in 1 +/- scale_max stay positive: no mirroring
+            raise ValueError(f"'scale_max' must be < 1, got {self.scale_max}")
         if self.downsample_factor_max < 1:
             raise ValueError("downsample_factor_max must be >= 1")
 
@@ -108,7 +110,7 @@ def make_phantom_label_map(rng: np.random.Generator, dims) -> Volume:
 def brain_mask(lm: Volume) -> Volume:
     """Union of the brain-structure labels as a binary mask."""
     data = ((lm.data >= BRAIN_LABELS[0]) & (lm.data <= BRAIN_LABELS[-1]))
-    return Volume(data.astype(np.uint8), lm.spacing, Kind.MASK)
+    return Volume(data.view(np.uint8), lm.spacing, Kind.MASK)
 
 
 def _rotation_matrix(angles_deg: np.ndarray) -> np.ndarray:
@@ -190,7 +192,7 @@ def _apply_transform(lm: Volume, p: SynthesisParams, params: dict,
             coords[i] += upsample_linear(grid[i], dims) / spacing[i]
 
     out = ndimage.map_coordinates(lm.data, coords, order=0, mode="constant", cval=0)
-    return Volume(out.astype(lm.data.dtype), lm.spacing, Kind.LABEL)
+    return Volume(out, lm.spacing, Kind.LABEL)
 
 
 def augment_spatial(lm: Volume, p: SynthesisParams, rng: np.random.Generator) -> Volume:
@@ -276,7 +278,7 @@ def _synthesize_raw(lm: Volume, p: SynthesisParams, rng: np.random.Generator):
         "downsample_factor": factor,
         "prenorm_range": (float(img.min()), float(img.max())),
     }
-    return img.astype(np.float32), params
+    return img.astype(np.float32, copy=False), params
 
 
 def synthesize_image(lm: Volume, p: SynthesisParams, rng: np.random.Generator) -> Volume:

@@ -49,26 +49,22 @@ def plan_windows(region: BoundingBox, w: int, s: int) -> WindowPlan:
     per_axis = [
         _axis_origins(lo, hi, w, s) for lo, hi in zip(region.mins, region.maxs)
     ]
-    origins = [tuple(o) for o in itertools.product(*per_axis)]
-    return WindowPlan(region, int(w), origins)
+    return WindowPlan(region, int(w), list(itertools.product(*per_axis)))
 
 
 def snap_plan_into(plan: WindowPlan, dims) -> WindowPlan:
-    """Shift window origins to lie inside a volume where possible.
+    """Clamp window origins into a volume that holds the plan's region.
 
-    Keeps every window covering its share of the region (windows only grow
-    their overlap when clamped inward) so coverage is preserved.
+    Only an axis where the region is narrower than the window can stick out,
+    and it has one origin; the rest lie in ``[lo, hi - w]``. So the origins
+    stay distinct and sorted, and the windows still cover the region.
     """
-    w = plan.window
-    snapped = []
-    seen = set()
-    for o in plan.origins:
-        so = tuple(min(max(v, 0), max(0, d - w)) for v, d in zip(o, dims))
-        if so not in seen:
-            seen.add(so)
-            snapped.append(so)
-    snapped.sort()
-    return WindowPlan(plan.region, w, snapped)
+    region = plan.region
+    if any(b > d for b, d in zip(region.maxs, dims)):
+        raise ValueError(f"region {region.mins}-{region.maxs} outside dims {tuple(dims)}")
+    last = [max(0, d - plan.window) for d in dims]
+    origins = [tuple(min(v, m) for v, m in zip(o, last)) for o in plan.origins]
+    return WindowPlan(region, plan.window, origins)
 
 
 def coverage_counts(plan: WindowPlan) -> np.ndarray:

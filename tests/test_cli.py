@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from braincascade import io_nifti, synth
+from braincascade import cascade, cli, io_nifti, synth
 from braincascade import volume as vol_ops
 from braincascade.cli import main
 from braincascade.predictor import ExternalPredictor, Predictor
@@ -344,6 +344,20 @@ class TestConfigErrors:
         assert self.extract(tmp_path, phantom_files, cfg) == 1
         self.one_line_error(capsys, f"'{rate}'", "finite")
 
+    @pytest.mark.parametrize("radius", [[6, 2], [-5, -1]])
+    def test_noise_radius_out_of_order(self, tmp_path, phantom_files, capsys, radius):
+        spec = {"fp_blob_rate": 2, "fp_blob_radius": radius}
+        assert main(["simulate", "--seeds", "1", "--noise-spec", json.dumps(spec)]) == 1
+        self.one_line_error(capsys, "'fp_blob_radius'", "0 <= lo <= hi")
+        cfg = {"gt": str(phantom_files[1]), "predictor": {"backend": "noisy_oracle", **spec}}
+        assert self.extract(tmp_path, phantom_files, cfg) == 1
+        self.one_line_error(capsys, "'fp_blob_radius'", "0 <= lo <= hi")
+
+    def test_synth_scale_max_below_one(self, tmp_path, capsys):
+        assert self.synth_params(tmp_path, scale_max=1.5) == 1
+        self.one_line_error(capsys, "'scale_max'", "< 1")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("radius", [3, [2], ["2", "3"], {"lo": 2}])
     def test_noisy_oracle_radius_not_a_pair(self, tmp_path, phantom_files, capsys, radius):
         cfg = {"predictor": {"backend": "noisy_oracle", "fp_blob_radius": radius}}
@@ -398,6 +412,27 @@ class TestMalformedInput:
         assert code == 1
         TestConfigErrors.one_line_error(capsys, *names)
         assert not (tmp_path / "mask.nii").exists()
+
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 7.28 TiB for an array"])
+    def test_memory_error_one_line(self, tmp_path, capsys, monkeypatch, message):
+        # stand-ins raise MemoryError: a real huge allocation could get the
+        # process killed on a host that overcommits memory
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        expected = f"error: {message or 'out of memory'}\n"
+        monkeypatch.setattr(cli, "coverage_counts", out_of_memory)
+        assert main(["plan", "--dims", "5000,5000,5000", "--window", "4096", "--step", "4096"]) == 1
+        assert capsys.readouterr().err == expected
+        monkeypatch.setattr(cascade, "conform_input", out_of_memory)
+        img_path = tmp_path / "scan.nii"
+        io_nifti.write_nifti(Volume(np.ones((20, 20, 20), np.float32)), img_path)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"predictor": {"backend": "constant", "value": 1.0}}))
+        assert main(["extract", str(img_path), "--config", str(cfg),
+                     "--out", str(tmp_path / "o.nii"), "--side", "100000"]) == 1
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "o.nii").exists()
 
 
 class TestSynth:

@@ -52,6 +52,20 @@ class TestRead:
         with pytest.raises(NiftiError, match="datatype"):
             read_nifti(path)
 
+    @pytest.mark.parametrize("datatype", [2, 4, 16])
+    def test_scaled_read_matches_float32_formula(self, tmp_path, rng, datatype):
+        # float32 data times the header's float32 slope is float32 already
+        dtype = {2: "<u1", 4: "<i2", 16: "<f4"}[datatype]
+        raw = (rng.random(5 * 6 * 7) * 200).astype(dtype)
+        slope, inter = np.float32(0.37), np.float32(-12.5)
+        path = tmp_path / "scaled.nii"
+        path.write_bytes(build_header((5, 6, 7), datatype, scl=(slope, inter)) + raw.tobytes())
+        vol = read_nifti(path)
+        data = raw.reshape((5, 6, 7), order="F")
+        expected = (data.astype(np.float32) * float(slope) + float(inter)).astype(np.float32)
+        assert vol.data.dtype == np.float32
+        assert vol.data.tobytes() == expected.tobytes()
+
     def test_truncated_data(self, tmp_path):
         path = tmp_path / "short.nii"
         path.write_bytes(build_header((4, 4, 4), 16) + b"\x00" * 10)
@@ -202,6 +216,22 @@ class TestWrite:
         back = read_nifti(path, kind=kind)
         np.testing.assert_array_equal(back.data, vol.data)
         assert back.spacing == vol.spacing
+
+    @pytest.mark.parametrize("case", ["float32 strided", "float64 to float32", "int64 to uint8"])
+    def test_data_bytes_match_fortran_copy(self, tmp_path, rng, case):
+        # the data bytes equal those of an explicit Fortran-order copy
+        if case == "float32 strided":
+            data, datatype = rng.random((9, 14, 11)).astype(np.float32)[::2, ::-1, 1::3], "float32"
+        elif case == "float64 to float32":
+            data, datatype = rng.random((6, 7, 8)).transpose(2, 0, 1), "float32"
+        else:
+            data, datatype = rng.integers(0, 256, (6, 7, 8)).swapaxes(0, 2), "uint8"
+        assert not data.flags.c_contiguous
+        path = tmp_path / "vol.nii"
+        write_nifti(Volume(data), path, datatype)
+        dtype = np.dtype("<f4" if datatype == "float32" else "<u1")
+        expected = np.asfortranarray(data.astype(dtype)).tobytes(order="F")
+        assert path.read_bytes()[VOX_OFFSET:] == expected
 
     def test_mask_file_size(self, tmp_path):
         vol = mask(np.zeros((192, 192, 192)))

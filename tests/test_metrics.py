@@ -116,6 +116,35 @@ class TestOverlapReport:
             assert r.fp_rate == pytest.approx(fp / neg if neg else 0.0)
             assert r.gt_mm3 == pytest.approx(gt.data.sum() * 2.0)
 
+    @staticmethod
+    def whole_volume_report(pred, gt):
+        """overlap_report's fields by the earlier whole-volume formulas."""
+        p, g = pred.data.astype(bool), gt.data.astype(bool)
+        fp = int(np.count_nonzero(p & ~g))
+        neg = g.size - int(np.count_nonzero(g))
+        voxel_mm3 = float(np.prod(gt.spacing))
+        return OverlapReport(
+            dice=dice(pred, gt), tp=int(np.count_nonzero(p & g)), fp=fp,
+            fn=int(np.count_nonzero(~p & g)), fp_rate=fp / neg if neg else 0.0,
+            gt_voxels=int(np.count_nonzero(g)), pred_voxels=int(np.count_nonzero(p)),
+            gt_mm3=float(np.count_nonzero(g)) * voxel_mm3,
+            pred_mm3=float(np.count_nonzero(p)) * voxel_mm3,
+        )
+
+    def test_matches_whole_volume_formulas(self, rng):
+        dims, spacing = (12, 9, 7), (0.7, 1.3, 2.9)
+        empty, full = np.zeros(dims), np.ones(dims)
+        pairs = [(empty, empty), (full, full), (empty, full), (full, empty)]
+        pairs += [(empty, rng.random(dims) < 0.3), (rng.random(dims) < 0.3, full)]
+        pairs += [(rng.random(dims) < p, rng.random(dims) < q)
+                  for p, q in [(0.1, 0.1), (0.5, 0.2), (0.9, 0.6)]]
+        for a, b in pairs:
+            pred, gt = mask(a, spacing), mask(b, spacing)
+            assert overlap_report(pred, gt) == self.whole_volume_report(pred, gt)
+        soft = prob(rng.random(dims) * (rng.random(dims) < 0.5))
+        hard = mask(rng.random(dims) < 0.5)
+        assert overlap_report(soft, hard) == self.whole_volume_report(soft, hard)
+
     def test_csv_row_shape(self, rng):
         m = random_mask(rng, (4, 4, 4))
         row = overlap_report(m, m).csv_row("case1")

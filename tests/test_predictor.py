@@ -154,7 +154,7 @@ class TestNoisyOracle:
             NoiseSpec(per_voxel_fp=1.0)
         with pytest.raises(ValueError):
             NoiseSpec(fp_blob_rate=-1)
-        for radius in [(3.0, float("inf")), (float("nan"), 3.0)]:
+        for radius in [(3.0, float("inf")), (float("nan"), 3.0), (6.0, 2.0), (-5.0, -1.0)]:
             with pytest.raises(ValueError, match="fp_blob_radius"):
                 NoiseSpec(fp_blob_radius=radius)
         for rate in ("fp_blob_rate", "fn_hole_rate", "per_voxel_fp"):

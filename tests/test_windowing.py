@@ -188,6 +188,34 @@ class TestSnapPlanInto:
         snapped = snap_plan_into(plan, (192, 192, 192))
         assert snapped.origins == plan.origins
 
+    @staticmethod
+    def clamp_dedup_sort(plan, dims):
+        """The earlier snap: clamp each origin, drop repeats, sort."""
+        w = plan.window
+        seen = {tuple(min(max(v, 0), max(0, d - w)) for v, d in zip(o, dims))
+                for o in plan.origins}
+        return sorted(seen)
+
+    def test_clamp_alone_matches_clamp_dedup_sort(self):
+        rng = np.random.default_rng(2024)
+        cases = [((40, 40, 40), BoundingBox((30, 0, 35), (40, 40, 40)), 16, 8),  # narrow at the far edge
+                 ((20, 12, 9), BoundingBox((0, 0, 0), (20, 12, 9)), 32, 8),  # window > volume
+                 ((20, 50, 9), BoundingBox((3, 10, 1), (20, 50, 9)), 32, 5)]
+        for _ in range(300):
+            dims = tuple(int(d) for d in rng.integers(1, 70, 3))
+            mins = [int(rng.integers(0, d)) for d in dims]
+            maxs = [int(rng.integers(lo + 1, d + 1)) for lo, d in zip(mins, dims)]
+            w = int(rng.integers(1, 80))
+            cases.append((dims, BoundingBox(mins, maxs), w, int(rng.integers(1, w + 1))))
+        for dims, region, w, s in cases:
+            plan = plan_windows(region, w, s)
+            assert snap_plan_into(plan, dims).origins == self.clamp_dedup_sort(plan, dims)
+
+    def test_region_outside_volume_rejected(self):
+        plan = plan_windows(BoundingBox((0, 0, 10), (16, 16, 41)), 16, 8)
+        with pytest.raises(ValueError, match=r"outside dims \(40, 40, 40\)"):
+            snap_plan_into(plan, (40, 40, 40))
+
 
 def reference_run(vol, plan, predict):
     """run_windows(mode="sum") as a plain loop: every patch a float32
