@@ -15,7 +15,7 @@ from . import __version__, cascade, io_nifti, metrics, synth
 from . import volume as vol_ops
 from .cascade import STATUS_NO_BRAIN, single_pass_extract
 from .predictor import NoiseSpec, PredictorError
-from .synth import MODEL_PARAMS, MODEL_STEPS
+from .synth import MODEL_PARAMS
 from .volume import BoundingBox, Kind, Volume
 from .windowing import coverage_counts, plan_windows
 
