@@ -32,6 +32,7 @@ from .windowing import plan_windows, run_windows, snap_plan_into
 
 STATUS_OK = "ok"
 STATUS_NO_BRAIN = "no_brain_found"
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,10 @@ class CascadeConfig:
     def __post_init__(self):
         if not 0 <= self.alpha <= 1:
             raise ValueError("alpha must be in [0, 1]")
+        # the float32 map is compared with the threshold cast to float32
+        if not abs(self.bfs_threshold) <= _F32_MAX:  # NaN fails too
+            raise ValueError(f"bfs_threshold must be finite and within float32's range "
+                             f"(|x| <= {_F32_MAX!r}), got {self.bfs_threshold!r}")
         if self.connectivity not in (6, 26):
             raise ValueError(f"connectivity must be 6 or 26, got {self.connectivity!r}")
         if not self.bfs_stages:
@@ -123,16 +128,13 @@ def bfs_localize(vol: Volume, config: CascadeConfig) -> BoundingBox | None:
     probability map.
     """
     full = BoundingBox.full(vol.dims)
+    combine = np.logical_or if config.bfs_combine == "union" else np.logical_and
     combined = None
     for stage in config.bfs_stages:
-        p = _run_stage(vol, full, stage, config)
-        above = p.data > config.bfs_threshold
-        if combined is None:
-            combined = above
-        elif config.bfs_combine == "union":
-            combined |= above
-        else:
-            combined &= above
+        # a stage's map is dropped once thresholded, its mask once combined
+        above = _run_stage(vol, full, stage, config).data > config.bfs_threshold
+        combined = above if combined is None else combine(combined, above, out=combined)
+        del above
     return _largest_box(Volume(combined.view(np.uint8), vol.spacing, Kind.MASK),
                         config.connectivity)
 
@@ -149,8 +151,9 @@ def dfs_refine(vol: Volume, region: BoundingBox, config: CascadeConfig) -> Extra
     masks: list[Volume] = []  # in the first region's frame
     r = region
     for stage in config.dfs_stages:
-        p = _run_stage(vol, r, stage, config)
-        s = threshold(p, config.alpha)
+        # the map is dropped once thresholded, and no stage's map or mask
+        # outlives its stage except as its entry in ``masks``
+        s = threshold(_run_stage(vol, r, stage, config), config.alpha)
         local_box = _largest_box(s, config.connectivity)
         if local_box is None:
             break
@@ -158,6 +161,7 @@ def dfs_refine(vol: Volume, region: BoundingBox, config: CascadeConfig) -> Extra
         in_region = tuple(a - b for a, b in zip(region.mins, r.mins))
         masks.append(Volume(vol_ops.read_box(s.data, in_region, region.shape),
                             s.spacing, Kind.MASK))
+        del s
         r = BoundingBox(
             tuple(a + b for a, b in zip(r.mins, local_box.mins)),
             tuple(a + b for a, b in zip(r.mins, local_box.maxs)),
@@ -191,9 +195,12 @@ def extract_brain(vol: Volume, config: CascadeConfig,
 
 
 def conform_input(vol: Volume, side: int = 192, spacing: float = 1.0) -> Volume:
-    """Preprocess to the pipeline grid: isotropic resample, cube, normalize."""
-    out = vol_ops.resample(vol, (spacing,) * 3)
-    out = vol_ops.conform_cube(out, side)
+    """Preprocess to the pipeline grid: isotropic resample, cube, normalize.
+
+    Only the resampled voxels the cube keeps are computed, so memory stays
+    within the input and the cube (volume.resample_cube).
+    """
+    out = vol_ops.resample_cube(vol, spacing, side)
     if out.kind is Kind.INTENSITY:
         out = vol_ops.minmax_normalize(out)
     return out
@@ -201,10 +208,9 @@ def conform_input(vol: Volume, side: int = 192, spacing: float = 1.0) -> Volume:
 
 def restore_native(mask: Volume, native_dims, native_spacing) -> Volume:
     """Invert conform_input for a conformed mask: undo the cube crop and
-    padding, then resample (nearest) onto the native grid it came from."""
-    dims = vol_ops.resampled_dims(native_dims, native_spacing, mask.spacing)
-    out = vol_ops.unconform_cube(mask, dims)
-    return vol_ops._resample_to(out, native_dims, native_spacing)
+    padding and resample (nearest) onto the native grid it came from, as one
+    gather per axis that never builds the resampled grid."""
+    return vol_ops.unresample_cube(mask, native_dims, native_spacing)
 
 
 def single_pass_extract(vol: Volume, stage: StageSpec, config: CascadeConfig) -> Volume:

@@ -110,8 +110,8 @@ def read_nifti(path, kind: Kind = Kind.INTENSITY) -> Volume:
 
     # file order: dims[0] fastest; internal order: axis 0 slowest
     data = np.frombuffer(raw, dtype=dtype).reshape(dims, order="F")
-    if scaled:
-        data = data.astype(np.float32) * scl_slope + scl_inter
+    if scaled:  # C order first: astype would keep the file's Fortran layout
+        data = np.ascontiguousarray(data, dtype=np.float32) * scl_slope + scl_inter
     else:
         data = np.ascontiguousarray(data)
     return Volume(data, spacing, kind)

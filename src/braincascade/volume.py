@@ -107,10 +107,62 @@ def resample(vol: Volume, target_spacing) -> Volume:
     ``scipy.ndimage.map_coordinates(order=0, mode="nearest")`` exactly;
     linear output (float32) is within 1 float32 ulp of ``order=1``.
     """
+    target_spacing = _check_spacing(target_spacing)
+    return _resample_to(vol, resampled_dims(vol.dims, vol.spacing, target_spacing), target_spacing)
+
+
+def _check_spacing(target_spacing) -> tuple:
     target_spacing = tuple(float(s) for s in np.broadcast_to(target_spacing, 3))
     if not all(0 < s < np.inf for s in target_spacing):
         raise ValueError(f"target spacing must be finite and positive, got {target_spacing}")
-    return _resample_to(vol, resampled_dims(vol.dims, vol.spacing, target_spacing), target_spacing)
+    return target_spacing
+
+
+def resample_cube(vol: Volume, target_spacing, side: int) -> Volume:
+    """``conform_cube(resample(vol, target_spacing), side)``, byte for byte.
+
+    Only the resampled voxels the cube keeps are computed, straight into the
+    ``side``**3 array, so memory stays within the input and the cube however
+    large the resampled grid would be.
+    """
+    if side <= 0:
+        raise ValueError("cube side must be positive")
+    target_spacing = _check_spacing(target_spacing)
+    dims = resampled_dims(vol.dims, vol.spacing, target_spacing)
+    return _resample_to(vol, dims, target_spacing, box=(_cube_mins(dims, side), (side,) * 3))
+
+
+def unresample_cube(cube: Volume, dims, spacing) -> Volume:
+    """Invert resample_cube for a mask or label cube: its nearest resample,
+    zero outside the cube, onto the grid of ``dims`` at ``spacing``.
+
+    It is one nearest gather per axis, native index -> resampled index
+    (clamped to the resampled grid) -> cube index, where an index outside the
+    cube reads 0. That gives the bytes of ``_resample_to`` of the
+    ``unconform_cube``-d grid without building that grid, and zeros where the
+    resampled grid has no voxel on some axis.
+    """
+    if cube.kind not in (Kind.LABEL, Kind.MASK):
+        raise ValueError("unresample_cube expects a mask or label volume")
+    dims, spacing = tuple(int(d) for d in dims), tuple(float(s) for s in spacing)
+    grid = resampled_dims(dims, spacing, cube.spacing)
+    mins = _cube_mins(grid, cube.dims[0])
+    out = np.zeros(dims, cube.data.dtype)
+    if 0 in grid:  # no resampled voxel to read
+        return Volume(out, spacing, cube.kind)
+    data, dst = cube.data, [None] * 3
+    # shrinking axes first keeps the intermediate arrays small
+    for axis in sorted(range(3), key=lambda a: dims[a] / cube.dims[a]):
+        c = _axis_positions(0, dims[axis], spacing[axis], cube.spacing[axis])
+        q = _nearest(c, grid[axis]) - mins[axis]
+        inside = np.flatnonzero((q >= 0) & (q < cube.dims[axis]))
+        if not inside.size:
+            return Volume(out, spacing, cube.kind)
+        # q rises with the native index, so the voxels that land in the cube are one run
+        dst[axis] = slice(inside[0], inside[-1] + 1)
+        data = np.take(data, q[inside].astype(np.intp), axis=axis)
+    out[tuple(dst)] = data
+    return Volume(out, spacing, cube.kind)
 
 
 def resampled_dims(dims, spacing, target_spacing) -> tuple:
@@ -118,27 +170,57 @@ def resampled_dims(dims, spacing, target_spacing) -> tuple:
     return tuple(int(np.floor(d * s / t + 0.5)) for d, s, t in zip(dims, spacing, target_spacing))
 
 
-def _resample_to(vol: Volume, out_dims, target_spacing) -> Volume:
+def _resample_to(vol: Volume, out_dims, target_spacing, box=None) -> Volume:
     """Resample onto an explicit output grid (voxel centers aligned in mm).
 
     Each output axis samples its input axis at ``(k + 0.5) * t / s - 0.5``,
     so the interpolation is separable and runs one axis at a time. Indices
     clamp to the edge, as ``map_coordinates`` does with ``mode="nearest"``.
+
+    ``box``, a (corner, shape) pair on the output grid, keeps only that box,
+    as ``read_box`` of the whole output would: voxels outside the grid read 0,
+    and only the kept ones are computed, each with the bytes it has in the
+    whole output (same per-element arithmetic, same axis order).
     """
-    if out_dims == vol.dims and tuple(target_spacing) == vol.spacing:
-        return vol  # volumes are immutable: nothing to copy
+    mins, shape = box if box is not None else ((0, 0, 0), tuple(out_dims))
+    if tuple(out_dims) == vol.dims and tuple(target_spacing) == vol.spacing:
+        # volumes are immutable: nothing to copy
+        return vol if box is None else Volume(read_box(vol.data, mins, shape), vol.spacing, vol.kind)
     linear = vol.kind not in (Kind.LABEL, Kind.MASK)
-    out = vol.data.astype(np.float32, copy=False) if linear else vol.data
-    # shrinking axes first keeps the intermediate arrays small
-    order = sorted(range(3), key=lambda a: out_dims[a] / max(vol.dims[a], 1))
-    for axis in order:
-        n, d = out_dims[axis], vol.dims[axis]
-        c = (np.arange(n) + 0.5) * target_spacing[axis] / vol.spacing[axis] - 0.5
-        if linear:  # the last axis rounds straight to float32
-            out = interp_axis(out, c, axis, np.float32 if axis == order[-1] else np.float64)
-        else:
-            out = np.take(out, np.clip(np.floor(c + 0.5).astype(np.intp), 0, d - 1), axis=axis)
-    return Volume(out, tuple(target_spacing), vol.kind)
+    result = np.zeros(tuple(shape), np.float32 if linear else vol.data.dtype)
+    kept = [(max(a, 0), min(a + n, d)) for a, n, d in zip(mins, shape, out_dims)]
+    if all(lo < hi for lo, hi in kept):
+        out = vol.data.astype(np.float32, copy=False) if linear else vol.data
+        dst = result[tuple(slice(lo - a, hi - a) for (lo, hi), a in zip(kept, mins))]
+        # shrinking axes first keeps the intermediate arrays small
+        order = sorted(range(3), key=lambda a: out_dims[a] / max(vol.dims[a], 1))
+        for axis in order:
+            c = _axis_positions(*kept[axis], target_spacing[axis], vol.spacing[axis])
+            if not linear:
+                out = np.take(out, _nearest(c, vol.dims[axis]).astype(np.intp), axis=axis)
+            elif axis == order[-1]:  # the last axis rounds straight to float32, into the result
+                out = interp_axis(out, c, axis, np.float32, dst)
+            else:
+                out = interp_axis(out, c, axis)
+        if not linear:
+            dst[...] = out
+    return Volume(result, tuple(target_spacing), vol.kind)
+
+
+def _axis_positions(lo: int, hi: int, t: float, s: float) -> np.ndarray:
+    """Input positions that output indices ``lo`` to ``hi - 1`` sample along an
+    axis resampled from spacing ``s`` to ``t``: ``(k + 0.5) * t / s - 0.5``.
+
+    ``k`` is float64, exact below 2**53, so a grid too large for int64 still
+    gives positions.
+    """
+    return (np.arange(hi - lo) + float(lo) + 0.5) * t / s - 0.5
+
+
+def _nearest(c: np.ndarray, d: int) -> np.ndarray:
+    """Index, as float64, of the voxel nearest each position on an axis of
+    ``d`` voxels, clamped to the edge."""
+    return np.clip(np.floor(c + 0.5), 0, d - 1)
 
 
 # bytes of float64 output per slab: the slab's two float64 products and its
@@ -146,7 +228,8 @@ def _resample_to(vol: Volume, out_dims, target_spacing) -> Volume:
 _SLAB_BYTES = 1 << 18
 
 
-def interp_axis(data: np.ndarray, c: np.ndarray, axis: int, dtype=np.float64) -> np.ndarray:
+def interp_axis(data: np.ndarray, c: np.ndarray, axis: int, dtype=np.float64,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Linear interpolation along one axis: output index k along ``axis``
     reads the input at position ``c[k]``.
 
@@ -154,7 +237,8 @@ def interp_axis(data: np.ndarray, c: np.ndarray, axis: int, dtype=np.float64) ->
     ``mode="nearest"``. The weights and the arithmetic are float64,
     ``take(lo) * (1 - w) + take(lo + 1) * w``, done in slabs along another
     axis so that the temporaries stay in cache; each slab's sum is rounded
-    once to ``dtype``, the dtype of the result.
+    once to ``dtype``, the dtype of the result. ``out``, an array of the
+    result's shape and dtype, receives the result in place of a new array.
     """
     d = data.shape[axis]
     lo = np.floor(c)
@@ -162,7 +246,7 @@ def interp_axis(data: np.ndarray, c: np.ndarray, axis: int, dtype=np.float64) ->
     lo = lo.astype(np.intp)
     lo, hi, w_lo = np.clip(lo, 0, d - 1), np.clip(lo + 1, 0, d - 1), 1.0 - w
     shape = data.shape[:axis] + (len(c),) + data.shape[axis + 1:]
-    out = np.empty(shape, dtype)
+    out = np.empty(shape, dtype) if out is None else out
     slab_axis = 1 if axis == 0 else 0
     rows = max(1, _SLAB_BYTES * shape[slab_axis] // max(8 * out.size, 1))
     for i in range(0, shape[slab_axis], rows):

@@ -112,8 +112,10 @@ def run_windows(vol: Volume, plan: WindowPlan, predictor: Predictor,
             raise PredictorError(f"prediction failed at window origin {origin}: {e}") from e
         if overlap is not None:
             acc[overlap[0]] += pred.data[overlap[1]]
+        del patch, pred  # before the next window's patch and prediction exist
 
     if mode == "mean":
         counts = coverage_counts(plan)
-        acc = np.divide(acc, counts, out=np.zeros_like(acc), where=counts > 0)
+        # acc is 0 wherever no window reaches
+        np.divide(acc, counts, out=acc, where=counts > 0)
     return Volume(acc, vol.spacing, Kind.PROBABILITY)

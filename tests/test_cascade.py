@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,6 +235,34 @@ class TestExtractBrain:
         assert metrics.dice(out, native) >= 0.8
 
 
+def test_extract_working_set():
+    """extract_brain holds one conformed volume, one probability map, one
+    window and one combined mask at a time, not the previous stage's map and
+    mask or the previous window's prediction as well.
+
+    The input is on the 96-voxel grid, so conforming only normalizes; the
+    roster's windows overlap (step below window). A window costs its float32
+    patch and prediction. The slack is one more mask, for the mask a stage's
+    threshold makes while its map still exists, and 64 KiB for plans.
+    """
+    side = 96
+    img, gt = phantom_case(8, (side,) * 3)
+    config = small_oracle_config(gt)
+    n = side ** 3
+    window = 2 * 4 * max(st.window for st in config.bfs_stages + config.dfs_stages) ** 3
+    tracemalloc.start()
+    try:
+        result = extract_brain(img, config, conform_side=side)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.status == STATUS_OK
+    conformed = accumulator = 4 * n  # float32
+    mask_bytes = n
+    budget = conformed + accumulator + window + mask_bytes + (mask_bytes + (64 << 10))
+    assert peak <= budget, f"peak {peak / n:.2f} bytes per voxel, budget {budget / n:.2f}"
+
+
 class TestMaskDigests:
     """Pins the exact bytes of extract_brain's mask on two small phantoms.
 
@@ -413,6 +442,16 @@ class TestConfig:
     def test_empty_bfs_stages_rejected(self):
         with pytest.raises(ValueError, match="at least one localization stage"):
             config_from_dict({"bfs_stages": []})
+
+    @pytest.mark.parametrize("value", [1e308, -1e39, float("inf"), float("nan")])
+    def test_bfs_threshold_beyond_float32_rejected(self, value):
+        # the float32 map is compared with the threshold cast to float32
+        with pytest.raises(ValueError, match="bfs_threshold"):
+            config_from_dict({"bfs_threshold": value})
+
+    def test_bfs_threshold_at_float32_max_accepted(self):
+        top = float(np.finfo(np.float32).max)
+        assert config_from_dict({"bfs_threshold": -top}).bfs_threshold == -top
 
     def test_connectivity_checked(self):
         gt = mask(np.ones((32, 32, 32)))

@@ -285,6 +285,12 @@ class TestConfigErrors:
         assert code == 1
         self.one_line_error(capsys, "stage A", "list of strings")
 
+    @pytest.mark.parametrize("value", [1e308, float("inf")])
+    def test_bfs_threshold_beyond_float32(self, tmp_path, phantom_files, capsys, value):
+        code = self.extract(tmp_path, phantom_files, {"bfs_threshold": value})
+        assert code == 1
+        self.one_line_error(capsys, "bfs_threshold", "float32")
+
     def test_unknown_noise_key(self, capsys):
         code = main(["simulate", "--seeds", "1", "--noise-spec", '{"bogus": 1}'])
         assert code == 1
@@ -412,6 +418,25 @@ class TestMalformedInput:
         assert code == 1
         TestConfigErrors.one_line_error(capsys, *names)
         assert not (tmp_path / "mask.nii").exists()
+
+    @pytest.mark.parametrize("pixdim", [0.01, 1e-30])
+    def test_axis_with_no_resampled_voxel(self, tmp_path, capsys, pixdim):
+        """10 voxels of this pixdim resample to none at 1 mm. The cube is all
+        padding there; a predictor that marks the whole cube still finds
+        nothing to put back on that axis, so the mask restores as zeros."""
+        img_path = tmp_path / "scan.nii"
+        data = np.random.default_rng(3).random((10, 12, 9)).astype(np.float32)
+        io_nifti.write_nifti(Volume(data, (pixdim, 1.0, 1.0)), img_path, "float32")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"predictor": {"backend": "constant", "value": 1.0},
+                                   "bfs_stages": [{"window": 8, "step": 8}],
+                                   "dfs_stages": [{"window": 8, "step": 4}]}))
+        out = tmp_path / "mask.nii"
+        code = main(["extract", str(img_path), "--config", str(cfg), "--out", str(out),
+                     "--side", "16"])
+        assert code == 0 and capsys.readouterr().err == ""
+        mask = io_nifti.read_nifti(out, kind=Kind.MASK)
+        assert mask.dims == (10, 12, 9) and not mask.data.any()
 
     @pytest.mark.parametrize("message", ["", "Unable to allocate 7.28 TiB for an array"])
     def test_memory_error_one_line(self, tmp_path, capsys, monkeypatch, message):

@@ -66,6 +66,21 @@ class TestRead:
         assert vol.data.dtype == np.float32
         assert vol.data.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("datatype", [2, 4, 16])
+    def test_scaled_read_is_c_ordered(self, tmp_path, rng, datatype):
+        """A scaled read is laid out like an unscaled one, last axis fastest,
+        so that resampling walks it in memory order."""
+        dtype = {2: "<u1", 4: "<i2", 16: "<f4"}[datatype]
+        raw = (rng.random(5 * 6 * 7) * 200).astype(dtype)
+        slope, inter = np.float32(0.37), np.float32(-12.5)
+        path = tmp_path / "scaled.nii"
+        path.write_bytes(build_header((5, 6, 7), datatype, scl=(slope, inter)) + raw.tobytes())
+        vol = read_nifti(path)
+        data = np.ascontiguousarray(raw.reshape((5, 6, 7), order="F"))
+        expected = data.astype(np.float32) * float(slope) + float(inter)
+        assert vol.data.flags.c_contiguous
+        assert bytes(memoryview(vol.data)) == expected.tobytes()
+
     def test_truncated_data(self, tmp_path):
         path = tmp_path / "short.nii"
         path.write_bytes(build_header((4, 4, 4), 16) + b"\x00" * 10)

@@ -1,4 +1,9 @@
 import hashlib
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -7,8 +12,8 @@ from scipy import ndimage
 
 from braincascade import volume
 from braincascade.volume import (
-    Kind, Volume, conform_cube, minmax_normalize, read_box, resample,
-    resampled_dims, unconform_cube,
+    Kind, Volume, conform_cube, minmax_normalize, read_box, resample, resample_cube,
+    resampled_dims, unconform_cube, unresample_cube,
 )
 from conftest import intensity, mask
 
@@ -331,6 +336,124 @@ def test_conform_cube_matches_crop_and_pad(rng):
         out = conform_cube(Volume(data, (1.0, 2.0, 0.5), Kind.LABEL), side)
         assert out.data.dtype == np.uint8 and out.spacing == (1.0, 2.0, 0.5)
         np.testing.assert_array_equal(out.data, expected)
+
+
+def pin_volume(name, kind=Kind.INTENSITY):
+    """The input of a LINEAR_PINS entry; a mask or label of its dims and spacing
+    for the nearest-neighbour kinds."""
+    seed, dims, spacing, dtype, _ = LINEAR_PINS[name]
+    rng = np.random.default_rng(seed)
+    if kind is Kind.MASK:
+        return Volume(rng.integers(0, 2, size=dims, dtype=np.uint8), spacing, kind)
+    if kind is Kind.LABEL:
+        return Volume(rng.integers(0, 9, size=dims, dtype=np.int16), spacing, kind)
+    if dtype == np.int16:
+        return Volume(rng.integers(-3000, 3000, size=dims, dtype=np.int16), spacing)
+    return Volume((rng.standard_normal(dims) * 1000).astype(dtype), spacing)
+
+
+class TestResampleCube:
+    """resample_cube computes only the voxels conform_cube keeps of resample's
+    output, and gives them the same bytes; unresample_cube gathers the mask
+    back without building the resampled grid, with the bytes of a nearest
+    resample of the unconformed grid.
+
+    The pinned inputs resample to about 25-28 voxels per axis at 1 mm (2 and
+    1 voxels on the short axes of the last two), so a side of 12 crops every
+    axis, 40 pads every axis, and 26 crops some and pads others.
+    """
+
+    @pytest.mark.parametrize("slab_bytes", [None, 1], ids=["default", "one-row"])
+    @pytest.mark.parametrize("side", [12, 26, 40], ids=["crop", "mixed", "pad"])
+    @pytest.mark.parametrize("name", list(LINEAR_PINS))
+    def test_linear_bytes_equal_resample_then_crop(self, monkeypatch, name, side, slab_bytes):
+        vol = pin_volume(name)
+        if slab_bytes is not None:
+            monkeypatch.setattr(volume, "_SLAB_BYTES", slab_bytes)
+        expected = conform_cube(resample(vol, (1.0, 1.0, 1.0)), side).data
+        out = resample_cube(vol, 1.0, side)
+        assert out.dims == (side,) * 3 and out.spacing == (1.0, 1.0, 1.0)
+        assert out.data.dtype == expected.dtype == np.float32
+        assert out.data.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", [Kind.MASK, Kind.LABEL])
+    @pytest.mark.parametrize("side", [12, 26, 40], ids=["crop", "mixed", "pad"])
+    @pytest.mark.parametrize("name", ["f4-thick0", "f4-thick1", "f4-thick2", "output-of-length-1"])
+    def test_nearest_bytes_equal_resample_then_crop(self, name, side, kind):
+        vol = pin_volume(name, kind)
+        expected = conform_cube(resample(vol, (1.0, 1.0, 1.0)), side).data
+        out = resample_cube(vol, 1.0, side).data
+        assert out.dtype == expected.dtype == vol.data.dtype
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("side", [12, 31, 40], ids=["crop", "mixed", "pad"])
+    def test_on_grid_input_is_read_as_a_box(self, rng, side):
+        # 1 mm already: no interpolation, only the crop and the padding
+        vol = intensity(rng.random((35, 20, 31)))
+        out = resample_cube(vol, 1.0, side)
+        assert out.data.tobytes() == conform_cube(vol, side).data.tobytes()
+
+    def test_bad_side_and_spacing(self, rng):
+        vol = intensity(rng.random((4, 4, 4)))
+        with pytest.raises(ValueError, match="side"):
+            resample_cube(vol, 1.0, 0)
+        with pytest.raises(ValueError, match="target spacing"):
+            resample_cube(vol, float("nan"), 4)
+
+    @pytest.mark.parametrize("side", [12, 26, 40], ids=["crop", "mixed", "pad"])
+    @pytest.mark.parametrize("name", ["f4-thick0", "f4-thick1", "f4-thick2",
+                                      "axis-of-length-1", "output-of-length-1"])
+    def test_unresample_equals_unconform_then_resample(self, rng, name, side):
+        _, dims, spacing, _, _ = LINEAR_PINS[name]
+        cube = Volume(rng.integers(0, 2, size=(side,) * 3, dtype=np.uint8), (1.0,) * 3, Kind.MASK)
+        grid = unconform_cube(cube, resampled_dims(dims, spacing, cube.spacing))
+        expected = volume._resample_to(grid, dims, spacing).data
+        out = unresample_cube(cube, dims, spacing)
+        assert out.dims == dims and out.spacing == spacing
+        assert out.data.dtype == np.uint8 and out.data.tobytes() == expected.tobytes()
+
+    def test_unresample_empty_resampled_axis_gives_zeros(self):
+        # 10 voxels of 0.01 mm resample to no voxel at 1 mm
+        cube = Volume(np.ones((8, 8, 8), np.uint8), (1.0,) * 3, Kind.MASK)
+        out = unresample_cube(cube, (10, 6, 7), (0.01, 1.0, 1.0))
+        assert out.dims == (10, 6, 7) and not out.data.any()
+
+    def test_unresample_rejects_linear_kinds(self, rng):
+        with pytest.raises(ValueError, match="mask or label"):
+            unresample_cube(intensity(rng.random((4, 4, 4))), (4, 4, 4), (1.0,) * 3)
+
+
+def test_conform_huge_resampled_grid_stays_within_native_and_cube(tmp_path):
+    """12x10x9 voxels at 700 mm on two axes resample to 8400x7000x9 voxels at
+    1 mm, 2 GiB as float32, of which the cube keeps 192**3 (28 MB).
+
+    Conforming the file's scan must stay within the scan and two cubes (the
+    cube and its normalized copy) at its tracemalloc peak. The run is in a
+    child process whose address space is capped at 1 GiB, so that a
+    regression ends in a MemoryError there rather than allocating GiBs.
+    """
+    from braincascade import io_nifti
+
+    path = tmp_path / "scan.nii"
+    data = np.random.default_rng(7).random((12, 10, 9)).astype(np.float32)
+    io_nifti.write_nifti(Volume(data, (700.0, 700.0, 1.0)), path, "float32")
+    code = textwrap.dedent("""
+        import json, resource, sys, tracemalloc
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from braincascade import cascade, io_nifti
+        vol = io_nifti.read_nifti(sys.argv[1])
+        tracemalloc.start()
+        out = cascade.conform_input(vol, 192)
+        print(json.dumps([tracemalloc.get_traced_memory()[1], out.dims, float(out.data.max())]))
+    """)
+    src = os.path.dirname(os.path.dirname(volume.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    peak, dims, top = json.loads(run.stdout)
+    assert dims == [192, 192, 192] and top == 1.0
+    assert peak <= data.nbytes + 2 * 4 * 192 ** 3 + (1 << 20), f"peak {peak / 1e6:.1f} MB"
 
 
 class TestExtractPatch:
