@@ -23,6 +23,10 @@ from . import volume as vol_ops
 
 BRAIN_LABELS = (1, 2, 3, 4, 5, 6, 7)
 FIRST_SHAPE_LABEL = 8
+# Augmentation and rendering build their per-voxel float64 temporaries (the
+# coordinates, the warp and bias fields, the noise) for this many axis-0
+# planes at a time, so no whole-volume float64 array is ever held.
+_SLAB_PLANES = 16
 
 
 @dataclass(frozen=True)
@@ -88,8 +92,9 @@ def make_phantom_label_map(rng: np.random.Generator, dims) -> Volume:
         raise ValueError("phantom dims must be >= 32 per axis")
     center = np.array(dims) / 2.0
     radii = np.array([rng.uniform(0.15, 0.22) * d for d in dims])
-    grids = np.ogrid[: dims[0], : dims[1], : dims[2]]
-    envelope = sum(((g - c) / r) ** 2 for g, c, r in zip(grids, center, radii)) <= 1.0
+    box, inside = _ellipsoid(dims, center, radii)
+    envelope = np.zeros(dims, dtype=bool)
+    envelope[box] = inside
 
     lm = np.zeros(dims, dtype=np.int32)
     lm[envelope] = 1
@@ -99,12 +104,26 @@ def make_phantom_label_map(rng: np.random.Generator, dims) -> Volume:
     for k, d in enumerate(directions, start=2):
         c = center + d * radii * rng.uniform(0.35, 0.5)
         r = radii * rng.uniform(0.25, 0.4)
-        inner = sum(((g - ci) / ri) ** 2 for g, ci, ri in zip(grids, c, r)) <= 1.0
-        lm[inner & envelope] = k
+        box, inner = _ellipsoid(dims, c, r)
+        lm[box][inner & envelope[box]] = k
         ci = tuple(int(round(v)) for v in c)
         if envelope[ci]:
             lm[ci] = k  # keep every structure present even if overwritten
     return Volume(lm, (1.0, 1.0, 1.0), Kind.LABEL)
+
+
+def _ellipsoid(dims, center, radii):
+    """The axis-aligned ellipsoid ``sum(((x - center) / radii) ** 2) <= 1`` on
+    the grid ``dims``, as (box slices, bool mask over the box).
+
+    The box is the ellipsoid's extent widened by one voxel and clipped to the
+    grid: a voxel outside it lies at least ``r + 1`` from the center on some
+    axis, so its sum exceeds 1. Inside, each voxel's sum is the whole-grid one.
+    """
+    box = tuple(slice(max(int(np.floor(c - r)) - 1, 0), min(int(np.floor(c + r)) + 2, d))
+                for d, c, r in zip(dims, center, radii))
+    grids = np.ogrid[box]
+    return box, sum(((g - c) / r) ** 2 for g, c, r in zip(grids, center, radii)) <= 1.0
 
 
 def brain_mask(lm: Volume) -> Volume:
@@ -132,17 +151,25 @@ def _sample_transform(p: SynthesisParams, rng: np.random.Generator) -> dict:
     }
 
 
-def upsample_linear(grid: np.ndarray, dims) -> np.ndarray:
+def upsample_linear(grid: np.ndarray, dims, planes: slice = slice(None)) -> np.ndarray:
     """Corner-aligned linear upsampling of a control grid to ``dims``.
 
     Output index k of an axis samples ``k * (n_in - 1) / (n_out - 1)``, the
-    mapping of ``ndimage.zoom(order=1)``, one axis at a time.
+    mapping of ``ndimage.zoom(order=1)``, one axis at a time. ``planes``, a
+    slice of axis 0, computes only those output planes, each equal to its
+    plane of the whole field.
     """
     out = grid
     for axis, (d, n) in enumerate(zip(grid.shape, dims)):
         step = (d - 1) / (n - 1) if n > 1 else 0.0
-        out = vol_ops.interp_axis(out, np.arange(n) * step, axis)
+        c = np.arange(n) * step
+        out = vol_ops.interp_axis(out, c[planes] if axis == 0 else c, axis)
     return out
+
+
+def _slabs(n: int):
+    """Slices of ``_SLAB_PLANES`` consecutive planes covering ``range(n)``."""
+    return (slice(lo, min(lo + _SLAB_PLANES, n)) for lo in range(0, n, _SLAB_PLANES))
 
 
 def _linear_axes(mat: np.ndarray, rel, out=None):
@@ -156,11 +183,13 @@ def _linear_axes(mat: np.ndarray, rel, out=None):
 
 
 def _affine_grid(dims, inv: np.ndarray, center: np.ndarray,
-                 shift_vox: np.ndarray) -> np.ndarray:
+                 shift_vox: np.ndarray, planes: slice = slice(None)) -> np.ndarray:
     """Input coordinates ``inv @ (x - center - shift) + center`` of every
-    output voxel x, shape (3, *dims)."""
-    rel = [np.arange(n, dtype=np.float64) - center[a] - shift_vox[a] for a, n in enumerate(dims)]
-    coords = np.empty((3, *dims))
+    output voxel x in ``planes`` of axis 0 (all by default), shape
+    (3, planes, *dims[1:])."""
+    rel = [np.arange(n, dtype=np.float64)[planes if a == 0 else slice(None)]
+           - center[a] - shift_vox[a] for a, n in enumerate(dims)]
+    coords = np.empty((3, *(len(r) for r in rel)))
     for row, c in zip(_linear_axes(inv, rel, coords), center):
         row += c
     return coords
@@ -182,16 +211,19 @@ def _apply_transform(lm: Volume, p: SynthesisParams, params: dict,
     if identity:
         return lm
 
-    coords = _affine_grid(dims, np.linalg.inv(rot * scale), center, shift_vox)
-
-    if p.warp_max > 0:
-        # smooth displacement from a low-resolution control grid, amplitude
-        # bounded by warp_max (linear upsampling cannot overshoot)
-        grid = rng.uniform(-p.warp_max, p.warp_max, size=(3, 8, 8, 8))
-        for i in range(3):
-            coords[i] += upsample_linear(grid[i], dims) / spacing[i]
-
-    out = ndimage.map_coordinates(lm.data, coords, order=0, mode="constant", cval=0)
+    inv = np.linalg.inv(rot * scale)
+    # smooth displacement from a low-resolution control grid, amplitude
+    # bounded by warp_max (linear upsampling cannot overshoot)
+    grid = (rng.uniform(-p.warp_max, p.warp_max, size=(3, 8, 8, 8))
+            if p.warp_max > 0 else None)
+    out = np.empty(dims, dtype=lm.data.dtype)
+    for planes in _slabs(dims[0]):
+        coords = _affine_grid(dims, inv, center, shift_vox, planes)
+        if grid is not None:
+            for i in range(3):
+                coords[i] += upsample_linear(grid[i], dims, planes) / spacing[i]
+        ndimage.map_coordinates(lm.data, coords, output=out[planes], order=0,
+                                mode="constant", cval=0)
     return Volume(out, lm.spacing, Kind.LABEL)
 
 
@@ -254,7 +286,11 @@ def _synthesize_raw(lm: Volume, p: SynthesisParams, rng: np.random.Generator):
 
     noise_sd = float(rng.uniform(0, p.noise_sd_max))
     if noise_sd > 0:
-        img = img + noise_sd * rng.standard_normal(img.shape).astype(np.float32)
+        # standard_normal fills in C order: slab by slab is the same stream
+        for planes in _slabs(lm.dims[0]):
+            noise = rng.standard_normal(img[planes].shape).astype(np.float32)
+            noise *= noise_sd
+            img[planes] += noise
 
     blur_sd = float(rng.uniform(0, p.blur_sd_max))
     if blur_sd > 0:
@@ -263,8 +299,8 @@ def _synthesize_raw(lm: Volume, p: SynthesisParams, rng: np.random.Generator):
     bias_amp = float(rng.uniform(0, p.bias_amplitude)) if p.bias_amplitude > 0 else 0.0
     if bias_amp > 0:
         grid = rng.uniform(-bias_amp, bias_amp, size=(4, 4, 4))
-        bias = upsample_linear(grid, lm.dims)
-        img = img * np.exp(bias).astype(np.float32)
+        for planes in _slabs(lm.dims[0]):
+            img[planes] *= np.exp(upsample_linear(grid, lm.dims, planes)).astype(np.float32)
 
     factor = int(rng.integers(1, p.downsample_factor_max + 1))
     if factor > 1:
@@ -281,18 +317,16 @@ def _synthesize_raw(lm: Volume, p: SynthesisParams, rng: np.random.Generator):
     return img.astype(np.float32, copy=False), params
 
 
-def synthesize_image(lm: Volume, p: SynthesisParams, rng: np.random.Generator) -> Volume:
-    """Randomized gray-scale rendering of a label map, normalized to [0, 1]."""
-    img, _ = _synthesize_raw(lm, p, rng)
-    return vol_ops.minmax_normalize(Volume(img, lm.spacing, Kind.INTENSITY))
-
-
 def center_brain(lm: Volume, window: int) -> Volume:
     """Crop/pad a label map to a window cube with the brain centroid centered."""
-    brain = brain_mask(lm).data
-    if brain.sum() == 0:
+    brain = brain_mask(lm).data.view(bool)
+    total = np.count_nonzero(brain)
+    if total == 0:
         return vol_ops.conform_cube(lm, window)
-    centroid = np.array(ndimage.center_of_mass(brain))
+    # integer moments, so the one division rounds exactly as center_of_mass
+    counts = [np.count_nonzero(brain, axis=tuple(b for b in range(3) if b != a))
+              for a in range(3)]
+    centroid = np.array([np.dot(n, np.arange(len(n))) for n in counts]) / total
     mins = np.round(centroid - window / 2.0).astype(int)
     return Volume(vol_ops.read_box(lm.data, mins, (window,) * 3), lm.spacing, Kind.LABEL)
 
@@ -307,10 +341,13 @@ def make_training_pair(lm: Volume, p: SynthesisParams,
     centered = center_brain(lm, p.window)
     transform = _sample_transform(p, rng)
     augmented = _apply_transform(centered, p, transform, rng)
-    with_shapes = add_random_shapes(augmented, p.n_shapes, rng)
-    img, corruption = _synthesize_raw(with_shapes, p, rng)
-    image = vol_ops.minmax_normalize(Volume(img, lm.spacing, Kind.INTENSITY))
+    del centered
     gt = brain_mask(augmented)
+    with_shapes = add_random_shapes(augmented, p.n_shapes, rng)
+    del augmented
+    img, corruption = _synthesize_raw(with_shapes, p, rng)
+    del with_shapes
+    image = vol_ops.minmax_normalize(Volume(img, lm.spacing, Kind.INTENSITY))
     metadata = {
         "transform": {k: np.asarray(v).tolist() for k, v in transform.items()},
         "corruption": corruption,

@@ -7,12 +7,12 @@ from scipy import ndimage
 
 from braincascade.morphology import connected_components
 from braincascade.synth import (
-    MODEL_PARAMS, MODEL_STEPS, SynthesisParams, _affine_grid, _apply_transform,
-    _rotation_matrix, _synthesize_raw, add_random_shapes, augment_spatial, brain_mask,
-    center_brain, make_phantom_label_map, make_training_pair, synthesize_image,
-    upsample_linear,
+    FIRST_SHAPE_LABEL, MODEL_PARAMS, MODEL_STEPS, SynthesisParams, _affine_grid,
+    _apply_transform, _rotation_matrix, _sample_transform, _synthesize_raw,
+    add_random_shapes, augment_spatial, brain_mask, center_brain,
+    make_phantom_label_map, make_training_pair, upsample_linear,
 )
-from braincascade.volume import Kind, Volume
+from braincascade.volume import Kind, Volume, conform_cube, minmax_normalize, read_box
 
 
 def no_aug(window, n_shapes=0, **kw):
@@ -85,9 +85,81 @@ class TestAugmentSpatial:
         assert min(fractions) < 1.0
 
 
+def whole_grid_phantom(rng, dims):
+    """make_phantom_label_map with every ellipsoid evaluated on the whole grid."""
+    center = np.array(dims) / 2.0
+    radii = np.array([rng.uniform(0.15, 0.22) * d for d in dims])
+    grids = np.ogrid[: dims[0], : dims[1], : dims[2]]
+    envelope = sum(((g - c) / r) ** 2 for g, c, r in zip(grids, center, radii)) <= 1.0
+    lm = np.zeros(dims, dtype=np.int32)
+    lm[envelope] = 1
+    directions = np.array([
+        [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]
+    ])
+    for k, d in enumerate(directions, start=2):
+        c = center + d * radii * rng.uniform(0.35, 0.5)
+        r = radii * rng.uniform(0.25, 0.4)
+        inner = sum(((g - ci) / ri) ** 2 for g, ci, ri in zip(grids, c, r)) <= 1.0
+        lm[inner & envelope] = k
+        ci = tuple(int(round(v)) for v in c)
+        if envelope[ci]:
+            lm[ci] = k
+    return lm
+
+
 class TestSeparableReference:
-    """The broadcast affine grid and the separable field upsampling against
-    the dense code they replaced."""
+    """Each bounded-memory path against the whole-grid code it replaced: the
+    broadcast affine grid, the separable field upsampling, the boxed phantom
+    ellipsoids, the slabbed augmentation and the integer centroid."""
+
+    @pytest.mark.parametrize("seed,dims", [
+        (50, (32, 32, 32)), (51, (32, 77, 45)), (52, (101, 33, 64)), (53, (63, 128, 99)),
+    ])
+    def test_phantom_equals_whole_grid(self, seed, dims):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        np.testing.assert_array_equal(make_phantom_label_map(a, dims).data,
+                                      whole_grid_phantom(b, dims))
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("warp_max", [0.0, 3.0])
+    def test_slabbed_transform_equals_whole_grid(self, warp_max):
+        dims, spacing = (37, 50, 23), (1.0, 1.5, 0.8)
+        setup = np.random.default_rng(46)
+        lm = Volume(setup.integers(0, 8, dims, dtype=np.int32), spacing, Kind.LABEL)
+        p = SynthesisParams(40, 0, 12.0, 180.0, 0.3, 0, 0, warp_max=warp_max)
+        params = _sample_transform(p, setup)
+        a, b = np.random.default_rng(47), np.random.default_rng(47)
+        out = _apply_transform(lm, p, params, a)
+
+        center = (np.array(dims) - 1) / 2.0
+        inv = np.linalg.inv(_rotation_matrix(params["rot_deg"]) * params["scale"])
+        coords = _affine_grid(dims, inv, center, params["shift_mm"] / np.array(spacing))
+        if warp_max > 0:
+            grid = b.uniform(-warp_max, warp_max, size=(3, 8, 8, 8))
+            for i in range(3):
+                coords[i] += upsample_linear(grid[i], dims) / spacing[i]
+        expected = ndimage.map_coordinates(lm.data, coords, order=0, mode="constant", cval=0)
+        np.testing.assert_array_equal(out.data, expected)
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("seed,dims,window", [
+        (54, (64, 64, 64), 48), (55, (45, 70, 33), 32), (56, (96, 40, 57), 64),
+    ])
+    def test_center_brain_equals_center_of_mass(self, seed, dims, window):
+        rng = np.random.default_rng(seed)
+        lm = make_phantom_label_map(rng, dims)
+        p = SynthesisParams(window, 0, 8.0, 180.0, 0.3, 0, 0)
+        lm = augment_spatial(lm, p, rng)  # off-centre and asymmetric
+        centroid = np.array(ndimage.center_of_mass(brain_mask(lm).data))
+        mins = np.round(centroid - window / 2.0).astype(int)
+        np.testing.assert_array_equal(center_brain(lm, window).data,
+                                      read_box(lm.data, mins, (window,) * 3))
+
+    def test_center_brain_without_brain_conforms(self):
+        data = np.zeros((40, 50, 30), dtype=np.int32)
+        data[:5, :5, :5] = FIRST_SHAPE_LABEL  # clutter only
+        lm = Volume(data, kind=Kind.LABEL)
+        np.testing.assert_array_equal(center_brain(lm, 32).data, conform_cube(lm, 32).data)
 
     @pytest.mark.parametrize("seed,dims", [(41, (37, 50, 23)), (42, (128, 128, 128))])
     def test_affine_grid_equals_indices_einsum(self, seed, dims):
@@ -138,10 +210,15 @@ class TestRandomShapes:
         assert (out.data >= 8).any()
 
 
+def render(lm, p, rng):
+    """The rendered image of ``lm``, normalized as make_training_pair does."""
+    return minmax_normalize(Volume(_synthesize_raw(lm, p, rng)[0], lm.spacing, Kind.INTENSITY))
+
+
 class TestSynthesizeImage:
     def test_piecewise_constant_without_corruption(self, rng):
         lm = make_phantom_label_map(rng, (48, 48, 48))
-        img = synthesize_image(lm, no_aug(48), np.random.default_rng(4))
+        img = render(lm, no_aug(48), np.random.default_rng(4))
         for label in np.unique(lm.data):
             region = img.data[lm.data == label]
             assert region.std() < 1e-6  # constant up to float32 normalization
@@ -149,15 +226,15 @@ class TestSynthesizeImage:
     def test_deterministic(self, rng):
         lm = make_phantom_label_map(rng, (48, 48, 48))
         p = MODEL_PARAMS["D"]
-        a = synthesize_image(lm, p, np.random.default_rng(5))
-        b = synthesize_image(lm, p, np.random.default_rng(5))
+        a = render(lm, p, np.random.default_rng(5))
+        b = render(lm, p, np.random.default_rng(5))
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_range_after_corruptions(self, rng):
         lm = make_phantom_label_map(rng, (48, 48, 48))
         p = MODEL_PARAMS["A"]
         for seed in range(5):
-            img = synthesize_image(lm, p, np.random.default_rng(seed))
+            img = render(lm, p, np.random.default_rng(seed))
             assert img.data.min() >= 0.0 and img.data.max() <= 1.0
 
     def test_noise_sd_matches_sample(self):
@@ -226,17 +303,19 @@ class TestModelTable:
 
 
 class TestPairDigests:
-    """Pins the exact bytes of make_training_pair for one model-A and one
-    model-D seed: image, mask and metadata.
+    """Pins the exact bytes of make_training_pair for one seed of each model
+    and of a 40-voxel window: image, mask and metadata.
 
     Synthesis may be made faster but never different: any change to the
-    affine grid, the warp or bias fields, or the rendering that moves a
-    single voxel or a metadata value changes these digests.
+    phantom, the affine grid, the warp or bias fields, the noise draws or the
+    rendering that moves a single voxel or a metadata value changes these
+    digests. The B, C and 40-voxel seeds all draw noise, a bias field and a
+    downsample factor of 2; 40 is not a multiple of the augment and render
+    slab, so its last slab is partial.
     """
 
     @staticmethod
-    def digests(model, seed):
-        p = MODEL_PARAMS[model]
+    def digests(p, seed):
         lm = make_phantom_label_map(np.random.default_rng(seed), (max(64, p.window),) * 3)
         pair = make_training_pair(lm, p, np.random.default_rng(seed + 100))
         parts = (pair.image.data.tobytes(), pair.gt.data.tobytes(),
@@ -244,15 +323,37 @@ class TestPairDigests:
         return tuple(hashlib.sha256(b).hexdigest() for b in parts)
 
     def test_model_a(self):
-        assert self.digests("A", 31) == (
+        assert self.digests(MODEL_PARAMS["A"], 31) == (
             "8730789d6898155494e038e3248788b1b0e0dc638aaacf7b4130f74a83ce1be8",
             "dcbeb2dbd6dbdd14a70a1ce2f6932b65846747534dd1f2d02a7f7f17e72403e1",
             "851d76278c41add6c8c67bacd8b4355d94014876899c82e9fcd1515c680d8a30",
         )
 
     def test_model_d(self):
-        assert self.digests("D", 32) == (
+        assert self.digests(MODEL_PARAMS["D"], 32) == (
             "1c6c056ee1748dd63d8c83a4183e500f9bbb20ba12581f941d74915126ce0249",
             "e3643d7af9f73570c215bd64cba1b88be00518be5745ef190a85bba36b86aa73",
             "d9da289310be32d47041b1569ac06674c5edb41f4b6ad9f8e91e211fbe59baa2",
+        )
+
+    def test_model_b(self):
+        assert self.digests(MODEL_PARAMS["B"], 34) == (
+            "0949b28aceabc67f500f837c690ef0317b3c1a679ec2ac1dd17ab32978e28250",
+            "11c448d2c28e935fe85e838de325a14ad6fc9da04ce395c0c2f258561ba8d4a8",
+            "4a73d1de8b89a60f80f570e1c8c29457b913c7b860786d3efdbc79b75402dee6",
+        )
+
+    def test_model_c(self):
+        assert self.digests(MODEL_PARAMS["C"], 35) == (
+            "b10b8319229ef21a64587c2fc38e39d6993336ea2125500c66b9b34866849d94",
+            "da4db74e04926fdf644a95d6e478aa42606cfec385f84f2750a6cad868b79444",
+            "cfbb87a2bc4cc30ff5c38ba7d951264287acdb6c71dbede949db089d93d6dfee",
+        )
+
+    def test_window_40(self):
+        p = SynthesisParams(40, 6, 8.0, 180.0, 0.3, 0.3, 0.2)
+        assert self.digests(p, 35) == (
+            "defdd47ee8bb262de7c5d21907560929f31eaa40012cf0dd6cdd67cdfaade59f",
+            "5124010db95e03d75814b1f45d37fa168a6616a5331b2fee151b8f2b9c78b0ef",
+            "399308ef8e3a082af8b50557433004c8eb4746394ac3feb297e136d9f2dd9893",
         )
