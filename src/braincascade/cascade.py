@@ -381,12 +381,6 @@ def config_from_dict(d: dict, gt: Volume | None = None, master_seed: int = 0) ->
         raise
 
 
-def default_oracle_config(gt: Volume, **overrides) -> CascadeConfig:
-    """Default roster with perfect oracles for the given ground truth;
-    overrides are top-level config keys."""
-    return config_from_dict({"predictor": {"backend": "oracle"}, **overrides}, gt=gt)
-
-
 def default_noisy_config(gt: Volume, noise: NoiseSpec, master_seed: int = 0,
                          threads: int = 1, **overrides) -> CascadeConfig:
     """Default roster with noisy oracles seeded per model letter (MODEL_SEEDS);

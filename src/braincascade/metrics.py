@@ -46,20 +46,6 @@ def dice(a: Volume, b: Volume) -> float:
     return 2.0 * inter / total
 
 
-def soft_dice(p: Volume, g: Volume, smooth: float = 1e-6) -> float:
-    """Soft Dice (2.sum(p*g)+smooth)/(sum(p)+sum(g)+smooth); loss is 1 minus this."""
-    _check_dims(p, g)
-    if smooth < 0:
-        raise ValueError("smooth must be >= 0")
-    pd = p.data.astype(np.float64)
-    gd = g.data.astype(np.float64)
-    num = 2.0 * float((pd * gd).sum()) + smooth
-    den = float(pd.sum()) + float(gd.sum()) + smooth
-    if den == 0:
-        return 1.0
-    return num / den
-
-
 def overlap_report(pred: Volume, gt: Volume) -> OverlapReport:
     """Overlap counts of pred against gt; the mm³ volumes take gt's spacing."""
     _check_dims(pred, gt)

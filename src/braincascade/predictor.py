@@ -186,8 +186,8 @@ class ExternalPredictor(Predictor):
     handshake magic "CPRD" + version u32 + window u32 in both directions
     (windows must match); then per request an origin (3 x i64) and w^3
     float32 intensities, answered by w^3 float32 probabilities. Both patches
-    travel in C order: the last axis varies fastest. A reply slower than
-    ``timeout`` seconds (finite, positive) fails the request and kills the child.
+    travel in C order: the last axis varies fastest. A request not sent and
+    answered in ``timeout`` seconds (finite, positive) fails and kills the child.
     """
 
     def __init__(self, command: list[str], window: int, timeout: float = 30.0,
@@ -202,6 +202,9 @@ class ExternalPredictor(Predictor):
             )
         except OSError as e:
             raise PredictorError(f"{id}: cannot spawn {command}: {e}") from e
+        os.set_blocking(self._proc.stdin.fileno(), False)  # see _exchange
+        self._request = bytearray(24 + 4 * self.window ** 3)  # origin, patch; reused
+        self._patch = np.frombuffer(self._request, "<f4", offset=24).reshape((self.window,) * 3)
         try:
             self._handshake()
         except Exception:
@@ -210,9 +213,7 @@ class ExternalPredictor(Predictor):
 
     def _handshake(self):
         msg = PROTOCOL_MAGIC + struct.pack("<II", PROTOCOL_VERSION, self.window)
-        self._proc.stdin.write(msg)
-        self._proc.stdin.flush()
-        reply = self._read_exact(12, context="handshake")
+        reply = self._exchange(msg, 12, context="handshake")
         magic, version, window = bytes(reply[:4]), *struct.unpack("<II", reply[4:])
         if magic != PROTOCOL_MAGIC:
             raise PredictorError(f"{self.id}: handshake magic {magic!r}")
@@ -223,28 +224,34 @@ class ExternalPredictor(Predictor):
                 f"{self.id}: server window {window} does not match stage window {self.window}"
             )
 
-    def _read_exact(self, n: int, context: str) -> bytearray:
-        """Read n bytes from the child's stdout, or fail once timeout passes.
-
-        Reads go to the raw fd, each after ``poll`` says it is readable, so a
-        silent child cannot block past the deadline and no byte is left in a
-        Python-side buffer.
-        """
+    def _exchange(self, request, n: int, context: str) -> bytearray:
+        """Send ``request`` to the child, then read n reply bytes, or fail once
+        timeout passes. Each write or read goes to a raw fd after ``poll``
+        says it is ready, and stdin does not block, so a child that stops
+        reading or writing cannot hold the call past the deadline."""
         deadline = time.monotonic() + self.timeout
-        fd = self._proc.stdout.fileno()
+        fd_in, fd_out = self._proc.stdin.fileno(), self._proc.stdout.fileno()
+        out, buf, sent, got = memoryview(request), bytearray(n), 0, 0
         poller = select.poll()
-        poller.register(fd, select.POLLIN)
-        buf = bytearray(n)
-        view = memoryview(buf)
-        got = 0
+        poller.register(fd_in, select.POLLOUT)
         while got < n:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 # kill it: a late reply would otherwise answer the next window
                 self._proc.kill()
                 raise PredictorError(f"{self.id}: timeout during {context}")
-            if poller.poll(min(remaining, POLL_SLICE_S) * 1000):
-                k = os.readv(fd, [view[got:]])
+            if not poller.poll(min(remaining, POLL_SLICE_S) * 1000):
+                continue
+            if sent < len(out):
+                try:
+                    sent += os.write(fd_in, out[sent:])
+                except OSError as e:  # the child closed its input
+                    raise PredictorError(f"{self.id}: {context}: {e}") from e
+                if sent == len(out):  # all sent: wait for the reply
+                    poller.unregister(fd_in)
+                    poller.register(fd_out, select.POLLIN)
+            else:
+                k = os.readv(fd_out, [memoryview(buf)[got:]])
                 if not k:
                     raise PredictorError(f"{self.id}: process closed stream during {context}")
                 got += k
@@ -252,23 +259,15 @@ class ExternalPredictor(Predictor):
 
     def _predict(self, patch, origin):
         w = self.window
-        try:
-            self._proc.stdin.write(struct.pack("<3q", *origin))
-            body = np.ascontiguousarray(patch.data, dtype="<f4")
-            self._proc.stdin.write(memoryview(body).cast("B"))
-            self._proc.stdin.flush()
-        except (BrokenPipeError, OSError) as e:
-            raise PredictorError(f"{self.id}: window {origin}: {e}") from e
-        raw = self._read_exact(4 * w ** 3, context=f"window {origin}")
+        struct.pack_into("<3q", self._request, 0, *origin)
+        np.copyto(self._patch, patch.data)
+        raw = self._exchange(self._request, 4 * w ** 3, context=f"window {origin}")
         return np.frombuffer(raw, dtype="<f4").reshape((w, w, w))
 
     def close(self):
         """End the child's input, reap it (killed after 2 s) and close both
         pipes, whether it is alive, exited or killed; a second call does nothing."""
-        try:
-            self._proc.stdin.close()
-        except OSError:
-            pass  # bytes left unsent to a dead child; the pipe is closed anyway
+        self._proc.stdin.close()  # nothing is buffered there: _exchange writes the raw fd
         try:
             self._proc.wait(timeout=2)
         except subprocess.TimeoutExpired:

@@ -204,13 +204,6 @@ def _apply_transform(lm: Volume, p: SynthesisParams, params: dict,
     scale = params["scale"]
     shift_vox = params["shift_mm"] / spacing
 
-    identity = (
-        not np.any(params["shift_mm"]) and not np.any(params["rot_deg"])
-        and scale == 1.0 and p.warp_max == 0
-    )
-    if identity:
-        return lm
-
     inv = np.linalg.inv(rot * scale)
     # smooth displacement from a low-resolution control grid, amplitude
     # bounded by warp_max (linear upsampling cannot overshoot)
@@ -246,8 +239,6 @@ def add_random_shapes(lm: Volume, n: int, rng: np.random.Generator) -> Volume:
     smoothed-noise blobs with radii U(2, w/4) voxels; brain labels are
     never touched.
     """
-    if n == 0:
-        return lm
     dims = lm.dims
     w = min(dims)
     out = lm.data.copy()

@@ -311,8 +311,6 @@ def conform_cube(vol: Volume, side: int) -> Volume:
     """
     if side <= 0:
         raise ValueError("cube side must be positive")
-    if vol.dims == (side,) * 3:
-        return vol
     return Volume(read_box(vol.data, _cube_mins(vol.dims, side), (side,) * 3),
                   vol.spacing, vol.kind)
 

@@ -6,6 +6,7 @@ Usage: echo_server.py MODE [VALUE]
   window64   - advertise window 64 regardless of what the parent requests
   die        - exit right after a successful handshake
   hang       - read the first request, then sleep without replying
+  stall      - sleep about 5 s right after the handshake without reading, then exit
 """
 
 import struct
@@ -38,6 +39,9 @@ def main():
     sys.stdout.buffer.flush()
 
     if mode == "die":
+        sys.exit(0)
+    if mode == "stall":
+        time.sleep(5)
         sys.exit(0)
 
     n = window ** 3

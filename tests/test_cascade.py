@@ -11,7 +11,7 @@ from braincascade import cascade, metrics, synth
 from braincascade import volume as vol_ops
 from braincascade.cascade import (
     STATUS_NO_BRAIN, STATUS_OK, CascadeConfig, StageSpec, bfs_localize,
-    config_from_dict, default_noisy_config, default_oracle_config, dfs_refine,
+    config_from_dict, default_noisy_config, dfs_refine,
     extract_brain, reconstruct_full, single_pass_extract,
 )
 from braincascade.morphology import bounding_box
@@ -148,7 +148,7 @@ class TestDfsRefine:
 class TestExtractBrain:
     def test_end_to_end_oracle(self):
         img, gt = phantom_case(6)
-        config = default_oracle_config(gt)
+        config = config_from_dict({"predictor": {"backend": "oracle"}}, gt=gt)
         result = extract_brain(img, config)
         assert result.status == STATUS_OK
         assert metrics.dice(result.mask, gt) >= 0.99
@@ -180,7 +180,8 @@ class TestExtractBrain:
             "from braincascade.volume import Kind, Volume\n"
             "lm = synth.make_phantom_label_map(np.random.default_rng(0), (64, 64, 64))\n"
             "img = Volume(lm.data.astype(np.float32), kind=Kind.INTENSITY)\n"
-            "config = cascade.default_oracle_config(synth.brain_mask(lm))\n"
+            "config = cascade.config_from_dict({'predictor': {'backend': 'oracle'}},\n"
+            "                                  gt=synth.brain_mask(lm))\n"
             "result = cascade.extract_brain(img, config, conform_side=64)\n"
             "print(result.status, 'scipy.sparse' in sys.modules)\n"
         )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from braincascade.metrics import OverlapReport, dice, overlap_report, soft_dice
+from braincascade.metrics import OverlapReport, dice, overlap_report
 from braincascade.volume import Kind, Volume
 from conftest import mask, prob, random_mask
 
@@ -54,38 +54,6 @@ class TestDice:
                 assert dice(a, b) == 1.0
             else:
                 assert dice(a, b) < 1.0
-
-
-class TestSoftDice:
-    def test_binary_equal_smooth_zero(self, rng):
-        m = random_mask(rng, (6, 6, 6))
-        p = prob(m.data.astype(np.float32))
-        assert soft_dice(p, m, smooth=0) == 1.0
-
-    def test_uniform_half(self):
-        v = 8 ** 3
-        g = np.zeros((8, 8, 8), dtype=np.uint8)
-        g.ravel()[: v // 2] = 1
-        p = prob(np.full((8, 8, 8), 0.5))
-        assert soft_dice(p, mask(g), smooth=0) == pytest.approx(0.5)
-
-    def test_both_empty_smoothed(self):
-        z = np.zeros((4, 4, 4))
-        assert soft_dice(prob(z), mask(z), smooth=1.0) == 1.0
-
-    def test_reduces_to_dice_on_binary(self, rng):
-        for _ in range(400):
-            a = random_mask(rng, (5, 5, 5), 0.4)
-            b = random_mask(rng, (5, 5, 5), 0.4)
-            if a.data.sum() + b.data.sum() == 0:
-                continue
-            p = prob(a.data.astype(np.float32))
-            assert soft_dice(p, b, smooth=0) == pytest.approx(dice(a, b))
-
-    def test_negative_smooth_rejected(self):
-        z = np.zeros((2, 2, 2))
-        with pytest.raises(ValueError):
-            soft_dice(prob(z), mask(z), smooth=-1)
 
 
 class TestOverlapReport:

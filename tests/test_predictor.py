@@ -261,6 +261,20 @@ class TestExternal:
             h.close()
         assert h._proc.poll() is not None  # the hung process was reaped
 
+    def test_stalled_reader_times_out_while_sending(self):
+        # a 1 MiB request is more than a pipe holds (64 KiB by default): a
+        # child that stops reading must not block the send past the timeout
+        h = ExternalPredictor(self.server("stall"), 64, timeout=1.0)
+        try:
+            start = time.monotonic()
+            with pytest.raises(PredictorError, match=r"timeout.*\(3, 4, 5\)"):
+                h.predict(zero_patch(64), (3, 4, 5))
+            assert time.monotonic() - start < 2
+            assert h._proc.wait(timeout=1) is not None
+        finally:
+            h.close()
+        assert h._proc.poll() is not None
+
     @staticmethod
     def assert_closed(h):
         assert h._proc.poll() is not None

@@ -43,9 +43,11 @@ class TestPhantom:
 
 
 class TestAugmentSpatial:
-    def test_identity_when_all_zero(self, rng):
-        lm = make_phantom_label_map(rng, (48, 48, 48))
+    @pytest.mark.parametrize("dims", [(48, 48, 48), (37, 50, 33)])
+    def test_identity_when_all_zero(self, rng, dims):
+        lm = make_phantom_label_map(rng, dims)
         out = augment_spatial(lm, no_aug(48), np.random.default_rng(0))
+        assert out.data.dtype == lm.data.dtype
         np.testing.assert_array_equal(out.data, lm.data)
 
     def test_pure_shift_moves_centroid(self, rng):
@@ -189,7 +191,7 @@ class TestRandomShapes:
     def test_n_zero_identity(self, rng):
         lm = make_phantom_label_map(rng, (48, 48, 48))
         out = add_random_shapes(lm, 0, np.random.default_rng(1))
-        assert out is lm
+        np.testing.assert_array_equal(out.data, lm.data)
 
     def test_brain_untouched(self, rng):
         lm = make_phantom_label_map(rng, (64, 64, 64))
