@@ -275,6 +275,32 @@ class TestExternal:
             h.close()
         assert h._proc.poll() is not None
 
+    def test_stalled_reader_small_request_times_out_on_reply(self):
+        # an 8^3 request fits in the pipe: the send completes and the
+        # timeout fails the wait for the reply
+        h = ExternalPredictor(self.server("stall"), 8, timeout=1.0)
+        try:
+            start = time.monotonic()
+            with pytest.raises(PredictorError, match=r"timeout.*\(3, 4, 5\)"):
+                h.predict(zero_patch(8), (3, 4, 5))
+            assert time.monotonic() - start < 2
+            assert h._proc.wait(timeout=1) is not None
+        finally:
+            h.close()
+        assert h._proc.poll() is not None
+
+    def test_echo_of_successive_requests(self, rng):
+        # each request is sent from one reused buffer: a reply must carry
+        # its own patch, and an earlier result must not change
+        h = ExternalPredictor(self.server("echo"), 8, timeout=10)
+        try:
+            patches = [rng.random((8, 8, 8)).astype(np.float32) for _ in range(3)]
+            outs = [h.predict(intensity(p), (i, 0, 0)).data for i, p in enumerate(patches)]
+            for out, p in zip(outs, patches):
+                np.testing.assert_array_equal(out, p)
+        finally:
+            h.close()
+
     @staticmethod
     def assert_closed(h):
         assert h._proc.poll() is not None

@@ -43,8 +43,16 @@ class TestPhantom:
 
 
 class TestAugmentSpatial:
-    @pytest.mark.parametrize("dims", [(48, 48, 48), (37, 50, 33)])
-    def test_identity_when_all_zero(self, rng, dims):
+    def test_identity_when_all_zero(self, rng):
+        lm = make_phantom_label_map(rng, (48, 48, 48))
+        out = augment_spatial(lm, no_aug(48), np.random.default_rng(0))
+        assert out.data.dtype == lm.data.dtype
+        np.testing.assert_array_equal(out.data, lm.data)
+
+    @pytest.mark.parametrize("dims", [(37, 50, 33), (64, 32, 41)])
+    def test_identity_when_all_zero_non_cubic(self, rng, dims):
+        # odd and even axes: each coordinate (k - c) + c is exact for the
+        # half-integer centre of an even axis too
         lm = make_phantom_label_map(rng, dims)
         out = augment_spatial(lm, no_aug(48), np.random.default_rng(0))
         assert out.data.dtype == lm.data.dtype
@@ -192,6 +200,15 @@ class TestRandomShapes:
         lm = make_phantom_label_map(rng, (48, 48, 48))
         out = add_random_shapes(lm, 0, np.random.default_rng(1))
         np.testing.assert_array_equal(out.data, lm.data)
+
+    def test_n_zero_copies_and_draws_nothing(self, rng):
+        lm = make_phantom_label_map(rng, (48, 48, 48))
+        shape_rng = np.random.default_rng(1)
+        state = shape_rng.bit_generator.state
+        out = add_random_shapes(lm, 0, shape_rng)
+        assert shape_rng.bit_generator.state == state
+        assert not np.shares_memory(out.data, lm.data)
+        assert out.kind == Kind.LABEL and out.spacing == lm.spacing
 
     def test_brain_untouched(self, rng):
         lm = make_phantom_label_map(rng, (64, 64, 64))

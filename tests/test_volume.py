@@ -274,6 +274,15 @@ class TestConformCube:
         out = conform_cube(vol, 192)
         np.testing.assert_array_equal(out.data, vol.data)
 
+    @pytest.mark.parametrize("kind", [Kind.LABEL, Kind.INTENSITY])
+    def test_same_dims_keeps_bytes_spacing_and_kind(self, rng, kind):
+        data = rng.integers(0, 8, (12, 12, 12)).astype(np.int16)
+        vol = Volume(data, (1.0, 2.0, 0.5), kind)
+        out = conform_cube(vol, 12)
+        assert out.data.tobytes() == vol.data.tobytes()
+        assert out.data.dtype == vol.data.dtype
+        assert out.spacing == vol.spacing and out.kind == kind
+
     def test_pad_centered_sum(self):
         vol = mask(np.ones((100, 100, 100)))
         out = conform_cube(vol, 192)
