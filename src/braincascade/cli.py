@@ -121,7 +121,6 @@ def cmd_synth(args) -> int:
         if not os.path.exists(args.labelmap):
             return _fail(f"label map not found: {args.labelmap}")
         lm_vol = io_nifti.read_nifti(args.labelmap, kind=Kind.LABEL)
-        lm_vol = Volume(lm_vol.data.astype(np.int32), lm_vol.spacing, Kind.LABEL)
         lm = lambda i: lm_vol
     else:
         lm = lambda i: synth.make_phantom_label_map(

@@ -41,6 +41,11 @@ _CODES = {"uint8": DT_UINT8, "int16": DT_INT16, "float32": DT_FLOAT32}
 # bytes read from a gzip stream at a time: its header's dims claim a size that
 # only reading the stream can confirm
 _GZIP_CHUNK = 1 << 24
+# voxels moved between file order and memory order at a time, in whole
+# planes of axis 2, the slowest axis on disk; planes of up to 32 Ki voxels
+# then go 16 or more at a time, where the transposing copy is no slower than
+# one whole-volume copy
+_SLAB_VOXELS = 1 << 19
 
 
 class NiftiError(Exception):
@@ -101,19 +106,28 @@ def read_nifti(path, kind: Kind = Kind.INTENSITY) -> Volume:
         if isinstance(f, gzip.GzipFile):
             f.seek(min(int(vox_offset), sys.maxsize))  # reads forward, stops at the end
             raw = _read_gzip(f, nbytes)
-        else:  # read no more than the file holds
+            held, view = len(raw), memoryview(raw)
+            read = lambda lo, n: view[lo : lo + n]
+        else:  # allocate no more than the file holds
             size = os.fstat(f.fileno()).st_size
             f.seek(min(int(vox_offset), size))
-            raw = f.read(min(nbytes, size - f.tell()))
-        if len(raw) < nbytes:
-            raise NiftiError(f"{path}: truncated data ({len(raw)} of {nbytes} bytes)")
+            held = min(nbytes, size - f.tell())
+            read = lambda lo, n: f.read(n)
+        if held < nbytes:
+            raise NiftiError(f"{path}: truncated data ({held} of {nbytes} bytes)")
 
-    # file order: dims[0] fastest; internal order: axis 0 slowest
-    data = np.frombuffer(raw, dtype=dtype).reshape(dims, order="F")
-    if scaled:  # C order first: astype would keep the file's Fortran layout
-        data = np.ascontiguousarray(data, dtype=np.float32) * scl_slope + scl_inter
-    else:
-        data = np.ascontiguousarray(data)
+        # file order: dims[0] fastest; internal order: axis 0 slowest
+        data = np.empty(dims, np.float32 if scaled else dtype)
+        plane = dims[0] * dims[1] * dtype.itemsize
+        for planes in _slabs(dims):
+            lo, n = planes.start * plane, (planes.stop - planes.start) * plane
+            chunk = read(lo, n)
+            if len(chunk) < n:  # the file shrank since its size was taken
+                raise NiftiError(f"{path}: truncated data ({lo + len(chunk)} of {nbytes} bytes)")
+            block = np.frombuffer(chunk, dtype).reshape((*dims[:2], -1), order="F")
+            if scaled:  # float32 first, as in the whole-array formula
+                block = block.astype(np.float32) * scl_slope + scl_inter
+            data[:, :, planes] = block
     return Volume(data, spacing, kind)
 
 
@@ -127,6 +141,13 @@ def _read_gzip(f, nbytes: int):
         while len(raw) < nbytes and (chunk := f.read(min(nbytes - len(raw), _GZIP_CHUNK))):
             raw += chunk
     return raw
+
+
+def _slabs(dims):
+    """Slices of whole axis-2 planes, about ``_SLAB_VOXELS`` voxels each
+    (one plane at least), covering ``range(dims[2])``."""
+    step = max(_SLAB_VOXELS // (dims[0] * dims[1]), 1)
+    return (slice(lo, min(lo + step, dims[2])) for lo in range(0, dims[2], step))
 
 
 def write_nifti(vol: Volume, path, datatype: str | None = None) -> None:
@@ -170,4 +191,6 @@ def write_nifti(vol: Volume, path, datatype: str | None = None) -> None:
     with open(path, "wb") as f:
         f.write(bytes(hdr))
         f.write(b"\x00\x00\x00\x00")  # extension flag: none
-        f.write(data.astype(dtype, copy=False).tobytes(order="F"))
+        for planes in _slabs(vol.dims):  # each one run of the file's data
+            # reversed axes in C order are the slab's file order: one copy
+            f.write(np.ascontiguousarray(data[:, :, planes].T, dtype=dtype))

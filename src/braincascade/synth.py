@@ -13,6 +13,7 @@ Everything operates at 1 mm isotropic spacing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -53,14 +54,21 @@ class SynthesisParams:
             raise ValueError("window must be positive")
         if self.n_shapes < 0:
             raise ValueError("n_shapes must be >= 0")
+        if self.n_shapes > 0 and self.window < 8:  # shape radii are drawn from [2, window / 4]
+            raise ValueError(f"'window' must be >= 8 when 'n_shapes' > 0, got {self.window}")
         for name in ("shift_max", "rot_max", "scale_max", "blur_sd_max",
                      "noise_sd_max", "warp_max", "bias_amplitude"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # NaN fails too
+                raise ValueError(f"'{name}' must be finite and >= 0, got {value}")
         if not self.scale_max < 1:  # scales in 1 +/- scale_max stay positive: no mirroring
             raise ValueError(f"'scale_max' must be < 1, got {self.scale_max}")
         if self.downsample_factor_max < 1:
             raise ValueError("downsample_factor_max must be >= 1")
+        # zoom keeps round(window / factor) voxels per axis, 0 from 2 * window on
+        if not self.downsample_factor_max < 2 * self.window:
+            raise ValueError(f"'downsample_factor_max' must be < 2 * window = {2 * self.window}, "
+                             f"got {self.downsample_factor_max}")
 
 
 # Per-model synthesis ranges (window, shapes, shift, rotation, scale, blur
@@ -96,7 +104,7 @@ def make_phantom_label_map(rng: np.random.Generator, dims) -> Volume:
     envelope = np.zeros(dims, dtype=bool)
     envelope[box] = inside
 
-    lm = np.zeros(dims, dtype=np.int32)
+    lm = np.zeros(dims, dtype=np.uint8)
     lm[envelope] = 1
     directions = np.array([
         [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]
@@ -237,11 +245,16 @@ def add_random_shapes(lm: Volume, n: int, rng: np.random.Generator) -> Volume:
 
     Shapes are a 50/50 mix of randomized ellipsoids and thresholded
     smoothed-noise blobs with radii U(2, w/4) voxels; brain labels are
-    never touched.
+    never touched. The copy keeps the map's dtype unless the last shape
+    label does not fit it.
     """
     dims = lm.dims
     w = min(dims)
-    out = lm.data.copy()
+    top = FIRST_SHAPE_LABEL + n - 1
+    dtype = lm.data.dtype
+    if top > np.iinfo(dtype).max:
+        dtype = np.promote_types(dtype, np.min_scalar_type(top))
+    out = lm.data.astype(dtype)
     background = lm.data == 0
     for k in range(n):
         label = FIRST_SHAPE_LABEL + k
@@ -284,8 +297,8 @@ def _synthesize_raw(lm: Volume, p: SynthesisParams, rng: np.random.Generator):
             img[planes] += noise
 
     blur_sd = float(rng.uniform(0, p.blur_sd_max))
-    if blur_sd > 0:
-        img = ndimage.gaussian_filter(img, sigma=blur_sd / np.array(lm.spacing))
+    if blur_sd > 0:  # one pass per axis, each line buffered: in place is exact
+        ndimage.gaussian_filter(img, sigma=blur_sd / np.array(lm.spacing), output=img)
 
     bias_amp = float(rng.uniform(0, p.bias_amplitude)) if p.bias_amplitude > 0 else 0.0
     if bias_amp > 0:
@@ -296,7 +309,7 @@ def _synthesize_raw(lm: Volume, p: SynthesisParams, rng: np.random.Generator):
     factor = int(rng.integers(1, p.downsample_factor_max + 1))
     if factor > 1:
         small = ndimage.zoom(img, 1.0 / factor, order=1)
-        img = ndimage.zoom(small, np.array(lm.dims) / np.array(small.shape), order=1)
+        ndimage.zoom(small, np.array(lm.dims) / np.array(small.shape), order=1, output=img)
 
     params = {
         "noise_sd": noise_sd,
@@ -305,7 +318,7 @@ def _synthesize_raw(lm: Volume, p: SynthesisParams, rng: np.random.Generator):
         "downsample_factor": factor,
         "prenorm_range": (float(img.min()), float(img.max())),
     }
-    return img.astype(np.float32, copy=False), params
+    return img, params
 
 
 def center_brain(lm: Volume, window: int) -> Volume:
@@ -338,7 +351,7 @@ def make_training_pair(lm: Volume, p: SynthesisParams,
     del augmented
     img, corruption = _synthesize_raw(with_shapes, p, rng)
     del with_shapes
-    image = vol_ops.minmax_normalize(Volume(img, lm.spacing, Kind.INTENSITY))
+    image = Volume(vol_ops.minmax_rescale(img), lm.spacing, Kind.INTENSITY)
     metadata = {
         "transform": {k: np.asarray(v).tolist() for k, v in transform.items()},
         "corruption": corruption,

@@ -328,11 +328,16 @@ def minmax_normalize(vol: Volume) -> Volume:
     """Rescale finite intensities to [0, 1]; constant input maps to zeros."""
     if vol.kind is not Kind.INTENSITY:
         raise ValueError("minmax_normalize expects an intensity volume")
-    data = vol.data.astype(np.float32)  # the one copy, rescaled in place
+    return Volume(minmax_rescale(vol.data.astype(np.float32)), vol.spacing, vol.kind)
+
+
+def minmax_rescale(data: np.ndarray) -> np.ndarray:
+    """Rescale a float array to [0, 1] in place and return it; a constant
+    array becomes zeros, and a non-finite value is a ValueError."""
     lo, hi = float(data.min()), float(data.max())
     if not -np.inf < lo <= hi < np.inf:  # a NaN anywhere makes min and max NaN
         raise ValueError(f"intensities must be finite, got min {lo} and max {hi}")
     data -= lo  # constant input becomes all zeros
     if hi > lo:
         data /= hi - lo
-    return Volume(data, vol.spacing, vol.kind)
+    return data

@@ -359,6 +359,26 @@ class TestConfigErrors:
         assert self.extract(tmp_path, phantom_files, cfg) == 1
         self.one_line_error(capsys, "'fp_blob_radius'", "0 <= lo <= hi")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ["shift_max", "rot_max", "scale_max", "blur_sd_max",
+                                      "noise_sd_max", "warp_max", "bias_amplitude"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+    def test_non_finite_synth_range(self, tmp_path, capsys, name, value):
+        assert self.synth_params(tmp_path, **{name: value}) == 1
+        self.one_line_error(capsys, f"'{name}'", "finite")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("change,names", [
+        ({"window": 32, "downsample_factor_max": 1000}, ("'downsample_factor_max'", "< 2 * window")),
+        ({"window": 32, "downsample_factor_max": 64}, ("'downsample_factor_max'", "< 2 * window")),
+        ({"window": 7, "n_shapes": 8}, ("'window'", "'n_shapes'")),
+    ])
+    def test_synth_window_too_small(self, tmp_path, capsys, change, names):
+        assert self.synth_params(tmp_path, **change) == 1
+        self.one_line_error(capsys, *names)
+        assert not (tmp_path / "out").exists()
+
     def test_synth_scale_max_below_one(self, tmp_path, capsys):
         assert self.synth_params(tmp_path, scale_max=1.5) == 1
         self.one_line_error(capsys, "'scale_max'", "< 1")
@@ -489,6 +509,27 @@ class TestSynth:
         assert code == 1
         assert capsys.readouterr().err == f"error: --count must be >= 1, got {count}\n"
         assert not (tmp_path / "out").exists()
+
+    # digests recorded before the phantom became uint8 and before --labelmap
+    # stopped widening its map to int32
+    @pytest.mark.parametrize("datatype,digest", [
+        ("uint8", "d841f95d16274933b2639834e9d09ccb8550aafdb8341813e8825527efe770e3"),
+        ("int16", "2c295d8b1fc7f3aafb3ba23eb6a0fcb51144f69a34a6fecd17c0a0cec5dc8b5a"),
+    ])
+    def test_labelmap_file_digest(self, tmp_path, datatype, digest):
+        lm = synth.make_phantom_label_map(np.random.default_rng(41), (70, 66, 64))
+        data = lm.data.astype(np.int16)
+        if datatype == "int16":  # a label above 255 beside the brain, inside the window
+            near = data[26:44, 26:40, 18:23]
+            near[near == 0] = 300
+        io_nifti.write_nifti(Volume(data, (1.0, 1.0, 1.0), Kind.LABEL), tmp_path / "lm.nii", datatype)
+        assert main(["synth", "--labelmap", str(tmp_path / "lm.nii"), "--model", "D",
+                     "--count", "2", "--seed", "5", "--outdir", str(tmp_path / "out")]) == 0
+        h = hashlib.sha256()
+        for i in range(2):
+            for name in (f"image_{i:04d}.nii", f"mask_{i:04d}.nii"):
+                h.update((tmp_path / "out" / name).read_bytes())
+        assert h.hexdigest() == digest
 
     def test_invalid_model(self, tmp_path, capsys):
         with pytest.raises(SystemExit):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -26,6 +27,7 @@ class TestPhantom:
         present = set(np.unique(lm.data))
         assert present <= set(range(8))
         assert set(range(1, 8)) <= present
+        assert lm.data.dtype == np.uint8
 
     def test_brain_is_one_component(self, rng):
         lm = make_phantom_label_map(rng, (64, 64, 64))
@@ -120,7 +122,25 @@ def whole_grid_phantom(rng, dims):
 class TestSeparableReference:
     """Each bounded-memory path against the whole-grid code it replaced: the
     broadcast affine grid, the separable field upsampling, the boxed phantom
-    ellipsoids, the slabbed augmentation and the integer centroid."""
+    ellipsoids, the slabbed augmentation, the integer centroid, and the
+    render's blur and upsampling zoom written into the image they read."""
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.3, 0.6, 1.7, (0.4, 1.1, 2.5), (0.0, 0.7, 0.2)])
+    def test_blur_in_place_equals_new_array(self, sigma):
+        img = np.random.default_rng(57).random((37, 40, 29)).astype(np.float32)
+        expected = ndimage.gaussian_filter(img, sigma=sigma)
+        out = ndimage.gaussian_filter(img, sigma=sigma, output=img)
+        assert out is img
+        assert img.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dims,factor", [((32, 32, 32), 2), ((40, 40, 40), 3), ((128,) * 3, 2)])
+    def test_zoom_into_image_equals_new_array(self, dims, factor):
+        img = np.random.default_rng(58).random(dims).astype(np.float32)
+        small = ndimage.zoom(img, 1.0 / factor, order=1)
+        up = np.array(dims) / np.array(small.shape)
+        expected = ndimage.zoom(small, up, order=1)
+        ndimage.zoom(small, up, order=1, output=img)
+        assert img.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("seed,dims", [
         (50, (32, 32, 32)), (51, (32, 77, 45)), (52, (101, 33, 64)), (53, (63, 128, 99)),
@@ -223,6 +243,17 @@ class TestRandomShapes:
         assert (lm.data[new] == 0).all()
         assert out.data.max() <= 7 + 24
 
+    def test_copy_widens_only_when_labels_do_not_fit(self, rng):
+        lm = make_phantom_label_map(rng, (48, 48, 48))
+        for data, n, dtype in [(lm.data, 24, np.uint8), (lm.data, 260, np.uint16),
+                               (lm.data.astype(np.int16), 260, np.int16)]:
+            out = add_random_shapes(Volume(data, kind=Kind.LABEL), n, np.random.default_rng(4))
+            wide = add_random_shapes(Volume(data.astype(np.int32), kind=Kind.LABEL), n,
+                                     np.random.default_rng(4))
+            assert out.data.dtype == dtype
+            np.testing.assert_array_equal(out.data, wide.data)
+        assert wide.data.max() > 255
+
     def test_some_shapes_appear(self, rng):
         lm = make_phantom_label_map(rng, (64, 64, 64))
         out = add_random_shapes(lm, 8, np.random.default_rng(3))
@@ -302,6 +333,32 @@ class TestTrainingPair:
         ]
         assert min(fractions) < max(fractions)
         assert all(0.0 <= f <= 1.0 for f in fractions)
+
+
+class TestParamChecks:
+    @pytest.mark.parametrize("window", [1, 8, 32, 128])
+    def test_downsampling_keeps_a_voxel(self, window):
+        # zoom keeps round(window / factor) voxels: 1 below 2 * window, 0 from it on
+        largest = 2 * window - 1
+        SynthesisParams(window, 0, 0, 0, 0, 0, 0, downsample_factor_max=largest)
+        small = ndimage.zoom(np.zeros((window,) * 3, np.float32), 1.0 / largest, order=1)
+        assert small.shape == (1, 1, 1)
+        with pytest.raises(ValueError, match=r"'downsample_factor_max' must be < 2 \* window"):
+            SynthesisParams(window, 0, 0, 0, 0, 0, 0, downsample_factor_max=largest + 1)
+
+    def test_shapes_need_a_window_of_eight(self):
+        SynthesisParams(8, 1, 0, 0, 0, 0, 0)
+        SynthesisParams(7, 0, 0, 0, 0, 0, 0)
+        with pytest.raises(ValueError, match="'window' must be >= 8 when 'n_shapes' > 0"):
+            SynthesisParams(7, 1, 0, 0, 0, 0, 0)
+
+    @pytest.mark.parametrize("name", ["shift_max", "rot_max", "scale_max", "blur_sd_max",
+                                      "noise_sd_max", "warp_max", "bias_amplitude"])
+    @pytest.mark.parametrize("value", [-float("inf"), -0.5])  # NaN and inf: test_cli
+    def test_ranges_finite_and_non_negative(self, name, value):
+        kw = dict(dataclasses.asdict(MODEL_PARAMS["D"]), **{name: value})
+        with pytest.raises(ValueError, match=f"'{name}' must be finite and >= 0"):
+            SynthesisParams(**kw)
 
 
 class TestModelTable:
