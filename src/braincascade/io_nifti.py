@@ -41,10 +41,9 @@ _CODES = {"uint8": DT_UINT8, "int16": DT_INT16, "float32": DT_FLOAT32}
 # bytes read from a gzip stream at a time: its header's dims claim a size that
 # only reading the stream can confirm
 _GZIP_CHUNK = 1 << 24
-# voxels moved between file order and memory order at a time, in whole
-# planes of axis 2, the slowest axis on disk; planes of up to 32 Ki voxels
-# then go 16 or more at a time, where the transposing copy is no slower than
-# one whole-volume copy
+# voxels written at a time, in whole planes of axis 2, the slowest axis on
+# disk; planes of up to 32 Ki voxels then go 16 or more at a time, where the
+# transposing copy is no slower than one whole-volume copy
 _SLAB_VOXELS = 1 << 19
 
 
@@ -106,28 +105,19 @@ def read_nifti(path, kind: Kind = Kind.INTENSITY) -> Volume:
         if isinstance(f, gzip.GzipFile):
             f.seek(min(int(vox_offset), sys.maxsize))  # reads forward, stops at the end
             raw = _read_gzip(f, nbytes)
-            held, view = len(raw), memoryview(raw)
-            read = lambda lo, n: view[lo : lo + n]
-        else:  # allocate no more than the file holds
+        else:  # read no more than the file holds
             size = os.fstat(f.fileno()).st_size
             f.seek(min(int(vox_offset), size))
-            held = min(nbytes, size - f.tell())
-            read = lambda lo, n: f.read(n)
-        if held < nbytes:
-            raise NiftiError(f"{path}: truncated data ({held} of {nbytes} bytes)")
+            raw = f.read(min(nbytes, size - f.tell()))
+        if len(raw) < nbytes:
+            raise NiftiError(f"{path}: truncated data ({len(raw)} of {nbytes} bytes)")
 
-        # file order: dims[0] fastest; internal order: axis 0 slowest
-        data = np.empty(dims, np.float32 if scaled else dtype)
-        plane = dims[0] * dims[1] * dtype.itemsize
-        for planes in _slabs(dims):
-            lo, n = planes.start * plane, (planes.stop - planes.start) * plane
-            chunk = read(lo, n)
-            if len(chunk) < n:  # the file shrank since its size was taken
-                raise NiftiError(f"{path}: truncated data ({lo + len(chunk)} of {nbytes} bytes)")
-            block = np.frombuffer(chunk, dtype).reshape((*dims[:2], -1), order="F")
-            if scaled:  # float32 first, as in the whole-array formula
-                block = block.astype(np.float32) * scl_slope + scl_inter
-            data[:, :, planes] = block
+    # file order: dims[0] fastest; internal order: axis 0 slowest
+    data = np.frombuffer(raw, dtype=dtype).reshape(dims, order="F")
+    if scaled:  # C order first: astype would keep the file's Fortran layout
+        data = np.ascontiguousarray(data, dtype=np.float32) * scl_slope + scl_inter
+    else:
+        data = np.ascontiguousarray(data)
     return Volume(data, spacing, kind)
 
 
