@@ -314,9 +314,9 @@ def _build_predictor(spec: dict, window: int, name: str, model: str,
     if backend == "constant":
         return ConstantPredictor(spec.get("value", 0.0), window, id=name)
     command = spec.get("command")
-    if not isinstance(command, list) or not all(isinstance(c, str) for c in command):
+    if not isinstance(command, list) or not command or not all(isinstance(c, str) for c in command):
         raise ValueError(f"stage {name}: external backend needs a command, "
-                         f"a list of strings; got {command!r}")
+                         f"a non-empty list of strings; got {command!r}")
     return ExternalPredictor(command, window, timeout=spec.get("timeout", 30.0), id=name)
 
 
@@ -363,10 +363,10 @@ def config_from_dict(d: dict, gt: Volume | None = None, master_seed: int = 0) ->
             if window is None or step is None:
                 raise ValueError(f"{where} needs a model letter or window+step")
             name = s.get("name", model or f"w{window}")
-            key = (json.dumps(spec, sort_keys=True), window, name, model or name)
-            if key not in built:
-                built[key] = _build_predictor(spec, window, name, model or name, gt, master_seed)
-            out.append(StageSpec(name, built[key], step))
+            shared = (json.dumps(spec, sort_keys=True), window, name, model or name)
+            if shared not in built:
+                built[shared] = _build_predictor(spec, window, name, model or name, gt, master_seed)
+            out.append(StageSpec(name, built[shared], step))
         return out
 
     try:

@@ -19,23 +19,15 @@ import sys
 
 import numpy as np
 
-from .volume import Kind, Volume, is_binary
+from .volume import Kind, Volume, is_binary, slabs
 
 HEADER_SIZE = 348
 VOX_OFFSET = 352
 MAGIC = b"n+1\x00"
 
-# NIfTI-1 datatype codes
-DT_UINT8 = 2
-DT_INT16 = 4
-DT_FLOAT32 = 16
-
-_DTYPES = {
-    DT_UINT8: np.dtype("<u1"),
-    DT_INT16: np.dtype("<i2"),
-    DT_FLOAT32: np.dtype("<f4"),
-}
-_CODES = {"uint8": DT_UINT8, "int16": DT_INT16, "float32": DT_FLOAT32}
+# NIfTI-1 datatype code -> dtype
+_DTYPES = {2: np.dtype("<u1"), 4: np.dtype("<i2"), 16: np.dtype("<f4")}
+_CODES = {dtype.name: code for code, dtype in _DTYPES.items()}
 
 
 # bytes read from a gzip stream at a time: its header's dims claim a size that
@@ -133,33 +125,27 @@ def _read_gzip(f, nbytes: int):
     return raw
 
 
-def _slabs(dims):
-    """Slices of whole axis-2 planes, about ``_SLAB_VOXELS`` voxels each
-    (one plane at least), covering ``range(dims[2])``."""
-    step = max(_SLAB_VOXELS // (dims[0] * dims[1]), 1)
-    return (slice(lo, min(lo + step, dims[2])) for lo in range(0, dims[2], step))
-
-
 def write_nifti(vol: Volume, path, datatype: str | None = None) -> None:
     """Write a volume as an uncompressed single-file NIfTI-1 .nii.
 
     Default datatype: uint8 for masks and labels, float32 otherwise. Values
     not representable in the requested datatype are rejected, and so are
-    dims above 32767, which the int16 header fields cannot hold.
+    dims outside 1 to 32767: the reader rejects an empty axis, and the int16
+    header fields cannot hold more.
     """
     if datatype is None:
         datatype = "uint8" if vol.kind in (Kind.MASK, Kind.LABEL) else "float32"
     if datatype not in _CODES:
         raise NiftiError(f"unsupported datatype {datatype!r}")
-    if max(vol.dims) > 32767:
-        raise NiftiError(f"dims {vol.dims} do not fit the header's int16 fields")
+    if not all(1 <= d <= 32767 for d in vol.dims):
+        raise NiftiError(f"dims {vol.dims} must each be 1 to 32767")
     code = _CODES[datatype]
     dtype = _DTYPES[code]
 
     data = vol.data
     if vol.kind is Kind.MASK and not is_binary(data):
         raise NiftiError("mask volume contains values outside {0, 1}")
-    if code in (DT_UINT8, DT_INT16):
+    if dtype.kind in "iu":
         info = np.iinfo(dtype)
         if data.min() < info.min or data.max() > info.max:
             raise NiftiError(
@@ -178,9 +164,10 @@ def write_nifti(vol: Volume, path, datatype: str | None = None) -> None:
     struct.pack_into("<2f", hdr, 112, 1.0, 0.0)  # scl_slope, scl_inter
     hdr[344:348] = MAGIC
 
+    step = max(_SLAB_VOXELS // (vol.dims[0] * vol.dims[1]), 1)  # axis-2 planes per slab
     with open(path, "wb") as f:
         f.write(bytes(hdr))
         f.write(b"\x00\x00\x00\x00")  # extension flag: none
-        for planes in _slabs(vol.dims):  # each one run of the file's data
+        for planes in slabs(vol.dims[2], step):  # each one run of the file's data
             # reversed axes in C order are the slab's file order: one copy
             f.write(np.ascontiguousarray(data[:, :, planes].T, dtype=dtype))

@@ -11,10 +11,6 @@ from scipy import ndimage
 from .volume import BoundingBox, Kind, Volume
 
 
-class EmptyMaskError(ValueError):
-    """Raised when an operation requires at least one foreground voxel."""
-
-
 # Masks with at most this many foreground runs (along axis 2) per voxel are
 # labelled from their runs; speckled masks go through scipy voxel by voxel.
 # Timed on a ball of radius 0.35 n plus uniform speckle, 26-connected, best
@@ -204,7 +200,7 @@ def bounding_box(mask: Volume) -> BoundingBox:
     # project onto each axis instead of listing every foreground voxel
     rows = np.flatnonzero(data.any(axis=(1, 2)))
     if rows.size == 0:
-        raise EmptyMaskError("cannot fit a bounding box to an empty mask")
+        raise ValueError("cannot fit a bounding box to an empty mask")
     plane = data[rows[0]:rows[-1] + 1].any(axis=0)
     cols = np.flatnonzero(plane.any(axis=1))
     deps = np.flatnonzero(plane.any(axis=0))

@@ -101,11 +101,8 @@ def make_phantom_label_map(rng: np.random.Generator, dims) -> Volume:
     center = np.array(dims) / 2.0
     radii = np.array([rng.uniform(0.15, 0.22) * d for d in dims])
     box, inside = _ellipsoid(dims, center, radii)
-    envelope = np.zeros(dims, dtype=bool)
-    envelope[box] = inside
-
     lm = np.zeros(dims, dtype=np.uint8)
-    lm[envelope] = 1
+    lm[box][inside] = 1  # from here on lm != 0 is the envelope: labels 2-7 go only inside it
     directions = np.array([
         [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]
     ])
@@ -113,9 +110,9 @@ def make_phantom_label_map(rng: np.random.Generator, dims) -> Volume:
         c = center + d * radii * rng.uniform(0.35, 0.5)
         r = radii * rng.uniform(0.25, 0.4)
         box, inner = _ellipsoid(dims, c, r)
-        lm[box][inner & envelope[box]] = k
+        lm[box][inner & (lm[box] != 0)] = k
         ci = tuple(int(round(v)) for v in c)
-        if envelope[ci]:
+        if lm[ci]:
             lm[ci] = k  # keep every structure present even if overwritten
     return Volume(lm, (1.0, 1.0, 1.0), Kind.LABEL)
 
@@ -175,11 +172,6 @@ def upsample_linear(grid: np.ndarray, dims, planes: slice = slice(None)) -> np.n
     return out
 
 
-def _slabs(n: int):
-    """Slices of ``_SLAB_PLANES`` consecutive planes covering ``range(n)``."""
-    return (slice(lo, min(lo + _SLAB_PLANES, n)) for lo in range(0, n, _SLAB_PLANES))
-
-
 def _linear_axes(mat: np.ndarray, rel, out=None):
     """Rows of ``mat @ x`` over the grid that the 1-D axes ``rel`` span,
     yielded one at a time (into ``out[i]`` if given), each summed from the
@@ -218,7 +210,7 @@ def _apply_transform(lm: Volume, p: SynthesisParams, params: dict,
     grid = (rng.uniform(-p.warp_max, p.warp_max, size=(3, 8, 8, 8))
             if p.warp_max > 0 else None)
     out = np.empty(dims, dtype=lm.data.dtype)
-    for planes in _slabs(dims[0]):
+    for planes in vol_ops.slabs(dims[0], _SLAB_PLANES):
         coords = _affine_grid(dims, inv, center, shift_vox, planes)
         if grid is not None:
             for i in range(3):
@@ -291,7 +283,7 @@ def _synthesize_raw(lm: Volume, p: SynthesisParams, rng: np.random.Generator):
     noise_sd = float(rng.uniform(0, p.noise_sd_max))
     if noise_sd > 0:
         # standard_normal fills in C order: slab by slab is the same stream
-        for planes in _slabs(lm.dims[0]):
+        for planes in vol_ops.slabs(lm.dims[0], _SLAB_PLANES):
             noise = rng.standard_normal(img[planes].shape).astype(np.float32)
             noise *= noise_sd
             img[planes] += noise
@@ -303,7 +295,7 @@ def _synthesize_raw(lm: Volume, p: SynthesisParams, rng: np.random.Generator):
     bias_amp = float(rng.uniform(0, p.bias_amplitude)) if p.bias_amplitude > 0 else 0.0
     if bias_amp > 0:
         grid = rng.uniform(-bias_amp, bias_amp, size=(4, 4, 4))
-        for planes in _slabs(lm.dims[0]):
+        for planes in vol_ops.slabs(lm.dims[0], _SLAB_PLANES):
             img[planes] *= np.exp(upsample_linear(grid, lm.dims, planes)).astype(np.float32)
 
     factor = int(rng.integers(1, p.downsample_factor_max + 1))

@@ -199,7 +199,7 @@ def _resample_to(vol: Volume, out_dims, target_spacing, box=None) -> Volume:
             if not linear:
                 out = np.take(out, _nearest(c, vol.dims[axis]).astype(np.intp), axis=axis)
             elif axis == order[-1]:  # the last axis rounds straight to float32, into the result
-                out = interp_axis(out, c, axis, np.float32, dst)
+                out = interp_axis(out, c, axis, dst)
             else:
                 out = interp_axis(out, c, axis)
         if not linear:
@@ -228,7 +228,12 @@ def _nearest(c: np.ndarray, d: int) -> np.ndarray:
 _SLAB_BYTES = 1 << 18
 
 
-def interp_axis(data: np.ndarray, c: np.ndarray, axis: int, dtype=np.float64,
+def slabs(n: int, step: int):
+    """Slices of ``step`` consecutive indices covering ``range(n)``."""
+    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
+def interp_axis(data: np.ndarray, c: np.ndarray, axis: int,
                 out: np.ndarray | None = None) -> np.ndarray:
     """Linear interpolation along one axis: output index k along ``axis``
     reads the input at position ``c[k]``.
@@ -236,9 +241,9 @@ def interp_axis(data: np.ndarray, c: np.ndarray, axis: int, dtype=np.float64,
     Indices clamp to the edge, as ``map_coordinates`` does with
     ``mode="nearest"``. The weights and the arithmetic are float64,
     ``take(lo) * (1 - w) + take(lo + 1) * w``, done in slabs along another
-    axis so that the temporaries stay in cache; each slab's sum is rounded
-    once to ``dtype``, the dtype of the result. ``out``, an array of the
-    result's shape and dtype, receives the result in place of a new array.
+    axis so that the temporaries stay in cache. Each slab's sum is rounded
+    once to the result's dtype: that of ``out``, if given (an array of the
+    result's shape, which then receives the result), else float64.
     """
     d = data.shape[axis]
     lo = np.floor(c)
@@ -246,11 +251,11 @@ def interp_axis(data: np.ndarray, c: np.ndarray, axis: int, dtype=np.float64,
     lo = lo.astype(np.intp)
     lo, hi, w_lo = np.clip(lo, 0, d - 1), np.clip(lo + 1, 0, d - 1), 1.0 - w
     shape = data.shape[:axis] + (len(c),) + data.shape[axis + 1:]
-    out = np.empty(shape, dtype) if out is None else out
+    out = np.empty(shape) if out is None else out
     slab_axis = 1 if axis == 0 else 0
     rows = max(1, _SLAB_BYTES * shape[slab_axis] // max(8 * out.size, 1))
-    for i in range(0, shape[slab_axis], rows):
-        slab = (slice(None),) * slab_axis + (slice(i, i + rows),)
+    for planes in slabs(shape[slab_axis], rows):
+        slab = (slice(None),) * slab_axis + (planes,)
         a = np.take(data[slab], lo, axis=axis)
         b = np.take(data[slab], hi, axis=axis)
         if a.dtype == np.float64:

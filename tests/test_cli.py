@@ -231,6 +231,12 @@ class TestConfigErrors:
         assert code == 1
         self.one_line_error(capsys, "bfs_stages", "'Z'")
 
+    def test_unknown_model_letter_in_a_later_stage(self, tmp_path, phantom_files, capsys):
+        cfg = {"bfs_stages": [{"model": "A"}, {"model": "Z"}]}
+        code = self.extract(tmp_path, phantom_files, cfg)
+        assert code == 1
+        self.one_line_error(capsys, "bfs_stages[1]", "'Z'")
+
     def test_external_without_command(self, tmp_path, phantom_files, capsys):
         code = self.extract(tmp_path, phantom_files, {"predictor": {"backend": "external"}})
         assert code == 1
@@ -284,6 +290,12 @@ class TestConfigErrors:
         code = self.extract(tmp_path, phantom_files, cfg)
         assert code == 1
         self.one_line_error(capsys, "stage A", "list of strings")
+
+    def test_external_empty_command(self, tmp_path, phantom_files, capsys):
+        cfg = {"predictor": {"backend": "external", "command": []}}
+        code = self.extract(tmp_path, phantom_files, cfg)
+        assert code == 1
+        self.one_line_error(capsys, "stage A", "non-empty list of strings")
 
     @pytest.mark.parametrize("value", [1e308, float("inf")])
     def test_bfs_threshold_beyond_float32(self, tmp_path, phantom_files, capsys, value):

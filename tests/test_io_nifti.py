@@ -301,6 +301,15 @@ class TestWrite:
             write_nifti(Volume(np.zeros((32768, 1, 1), dtype=np.uint8)), path, "uint8")
         assert not path.exists()
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_empty_axis_rejected(self, tmp_path, axis):
+        dims = [3, 4, 5]
+        dims[axis] = 0
+        path = tmp_path / "empty.nii"
+        with pytest.raises(NiftiError, match="1 to 32767"):
+            write_nifti(Volume(np.zeros(dims, dtype=np.float32)), path)
+        assert not path.exists()
+
     def test_mask_non_binary_rejected(self, tmp_path):
         # masks must be {0,1}; write path re-checks before serializing
         bad = object.__new__(Volume)

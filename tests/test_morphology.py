@@ -4,7 +4,7 @@ from scipy import ndimage
 
 from braincascade import morphology
 from braincascade.morphology import (
-    EmptyMaskError, bounding_box, connected_components, largest_component,
+    bounding_box, connected_components, largest_component,
     majority_vote, threshold,
 )
 from braincascade.volume import Kind, Volume
@@ -284,7 +284,8 @@ class TestBoundingBox:
         assert box.mins == (1, 1, 1) and box.maxs == (6, 3, 3)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyMaskError):
+        with pytest.raises(ValueError,
+                           match="cannot fit a bounding box to an empty mask"):
             bounding_box(mask(np.zeros((4, 4, 4))))
 
     def test_fully_set(self):
