@@ -20,10 +20,6 @@ from .volume import BoundingBox, Kind, Volume
 from .windowing import coverage_counts, plan_windows
 
 DEFAULT_CONFIG_ENV = "BRAINCASCADE_CONFIG"
-# extract and simulate keep --threads, which has no effect, so that old
-# command lines still parse: argparse exits 2 on an unknown flag, and exit 2
-# means "no brain found"
-THREADS_HELP = "no effect: windows always run one at a time"
 
 
 def _manifest(command, config, seed, inputs, outputs) -> dict:
@@ -34,9 +30,10 @@ def _manifest(command, config, seed, inputs, outputs) -> dict:
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())}
 
 
-def _fail(msg: str, code: int = 1) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return code
+def _fail(msg: str) -> int:
+    # escaped, a newline in a path keeps the error to one line
+    print("error: " + msg.replace("\n", "\\n"), file=sys.stderr)
+    return 1
 
 
 def _load_json(path):
@@ -109,13 +106,9 @@ def cmd_synth(args) -> int:
     if args.count < 1:
         return _fail(f"--count must be >= 1, got {args.count}")
     if args.model:
-        if args.model not in MODEL_PARAMS:
-            return _fail(f"unknown model {args.model!r}, expected one of A B C D")
         params = MODEL_PARAMS[args.model]
-    elif args.params:
-        params = cascade.from_json(synth.SynthesisParams, _load_json(args.params), args.params)
     else:
-        return _fail("one of --model or --params is required")
+        params = cascade.from_json(synth.SynthesisParams, _load_json(args.params), args.params)
 
     if args.labelmap:
         if not os.path.exists(args.labelmap):
@@ -236,8 +229,6 @@ def cmd_plan(args) -> int:
     dims = tuple(int(v) for v in args.dims.split(","))
     if len(dims) != 3 or any(d <= 0 for d in dims):
         return _fail(f"--dims must be three positive integers, got {args.dims}")
-    if args.window < 1 or args.step < 1:
-        return _fail("--window and --step must be >= 1")
     plan = plan_windows(BoundingBox.full(dims), args.window, args.step)
     counts = coverage_counts(plan)
     print(f"windows: {len(plan.origins)}")
@@ -250,8 +241,16 @@ def cmd_plan(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error for `main` to print as one `error:` line, where
+    argparse would print usage and exit 2, which means "no brain found"."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="braincascade",
         description="Multi-scale sliding-window fetal brain extraction",
     )
@@ -265,16 +264,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="ROI trace JSON path")
     p.add_argument("--gt", help="ground-truth mask for oracle backends")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--side", type=int, default=192)
     p.add_argument("--spacing", type=float, default=1.0)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("synth", help="generate synthetic training pairs")
     p.add_argument("--labelmap", help="input label-map NIfTI (default: phantom)")
-    p.add_argument("--model", choices=list(MODEL_PARAMS),
-                   help="use a predefined model row")
-    p.add_argument("--params", help="synthesis params JSON")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--model", choices=list(MODEL_PARAMS),
+                        help="use a predefined model row")
+    source.add_argument("--params", help="synthesis params JSON")
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--outdir", required=True)
@@ -293,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-spec", help="NoiseSpec JSON (inline or path)")
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--report", help="output file prefix (.csv/.txt)")
     p.set_defaults(func=cmd_simulate)
 
@@ -307,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (OSError, ValueError, MemoryError, io_nifti.NiftiError, PredictorError) as e:
         return _fail(str(e) or "out of memory")

@@ -55,7 +55,7 @@ def overlap_report(pred: Volume, gt: Volume) -> OverlapReport:
     fp, neg = n_pred - tp, gt.data.size - n_gt
     voxel_mm3 = float(np.prod(gt.spacing))
     return OverlapReport(
-        dice=dice(pred, gt),
+        dice=2.0 * tp / (n_pred + n_gt) if n_pred + n_gt else 1.0,
         tp=tp, fp=fp, fn=n_gt - tp,
         fp_rate=fp / neg if neg else 0.0,
         gt_voxels=n_gt,

@@ -69,16 +69,14 @@ class TestExtract:
         assert trace["status"] == "ok"
         assert trace["roi_trace"][0]["stage"] == "bfs"
 
-    def test_threads_flag_has_no_effect(self, tmp_path, phantom_files):
+    def test_threads_flag_exits_1_naming_it(self, tmp_path, phantom_files, capsys):
         img_path, gt_path = phantom_files
-        cfg = oracle_config(tmp_path, gt_path)
-        outs = []
-        for threads in ("1", "4"):
-            out = tmp_path / f"mask{threads}.nii"
-            assert main(["extract", str(img_path), "--config", str(cfg), "--out", str(out),
-                         "--side", "96", "--threads", threads]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        out = tmp_path / "mask.nii"
+        assert main(["extract", str(img_path), "--config", str(oracle_config(tmp_path, gt_path)),
+                     "--out", str(out), "--side", "96", "--threads", "2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: braincascade: unrecognized arguments: --threads 2\n")
+        assert not out.exists()
 
     def test_missing_input(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -544,8 +542,18 @@ class TestSynth:
         assert h.hexdigest() == digest
 
     def test_invalid_model(self, tmp_path, capsys):
-        with pytest.raises(SystemExit):
-            main(["synth", "--model", "E", "--outdir", str(tmp_path)])
+        assert main(["synth", "--model", "E", "--outdir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: braincascade synth: argument --model: invalid choice: 'E'")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_model_and_params_exclude_each_other(self, tmp_path, capsys):
+        assert main(["synth", "--model", "A", "--params", str(tmp_path / "p.json"),
+                     "--outdir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == ("error: braincascade synth: argument --params: "
+                                           "not allowed with argument --model\n")
+        assert not (tmp_path / "out").exists()
 
     def test_params_file(self, tmp_path):
         params = tmp_path / "p.json"
@@ -651,3 +659,33 @@ class TestPlan:
     def test_bad_dims(self, capsys):
         assert main(["plan", "--dims", "10,20",
                      "--window", "8", "--step", "4"]) == 1
+
+
+class TestUsageErrors:
+    """A command line argparse rejects exits 1 with one `error:` line, never
+    2, which means "no brain found"."""
+
+    @pytest.mark.parametrize("argv,err", [
+        (["extract", "s.nii", "--out", "o.nii", "--side", "nan"],
+         "braincascade extract: argument --side: invalid int value: 'nan'"),
+        (["extract", "s.nii", "--out", "o.nii", "--confg", "c"],
+         "braincascade: unrecognized arguments: --confg c"),
+        (["simulate", "--seeds", "1", "--threads", "2"],
+         "braincascade: unrecognized arguments: --threads 2"),
+        (["synth", "--outdir", "out"],
+         "braincascade synth: one of the arguments --model --params is required"),
+        (["eval", "p.nii"], "braincascade eval: the following arguments are required: gt"),
+        ([], "braincascade: the following arguments are required: cmd"),
+    ])
+    def test_one_error_line(self, tmp_path, monkeypatch, capsys, argv, err):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["extract", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().err == ""
