@@ -180,8 +180,8 @@ def extract_brain(vol: Volume, config: CascadeConfig,
                   conform_side: int = 192, target_spacing: float = 1.0) -> ExtractionResult:
     """Full pipeline on an intensity volume: conform, localize, refine.
 
-    The result lives on the conformed grid; restore_native maps it back
-    onto the input's grid.
+    The result lives on the conformed grid; volume.unresample_cube maps it
+    back onto the input's grid.
     """
     if vol.kind is not Kind.INTENSITY:
         raise ValueError("extract_brain expects an intensity volume")
@@ -200,17 +200,11 @@ def conform_input(vol: Volume, side: int = 192, spacing: float = 1.0) -> Volume:
     Only the resampled voxels the cube keeps are computed, so memory stays
     within the input and the cube (volume.resample_cube).
     """
-    out = vol_ops.resample_cube(vol, spacing, side)
+    with np.errstate(invalid="ignore"):  # an infinity interpolates to NaN, rejected below
+        out = vol_ops.resample_cube(vol, spacing, side)
     if out.kind is Kind.INTENSITY:
         out = vol_ops.minmax_normalize(out)
     return out
-
-
-def restore_native(mask: Volume, native_dims, native_spacing) -> Volume:
-    """Invert conform_input for a conformed mask: undo the cube crop and
-    padding and resample (nearest) onto the native grid it came from, as one
-    gather per axis that never builds the resampled grid."""
-    return vol_ops.unresample_cube(mask, native_dims, native_spacing)
 
 
 def single_pass_extract(vol: Volume, stage: StageSpec, config: CascadeConfig) -> Volume:

@@ -58,6 +58,10 @@ def cmd_extract(args) -> int:
     if not os.path.exists(config_path):
         return _fail(f"config file not found: {config_path}")
     cfg_dict = cascade.check_config_keys(_load_json(config_path))
+    trace_path = args.trace or (os.path.splitext(args.out)[0] + "_trace.json")
+    for path in (args.out, trace_path):  # checked before the cascade, not after it
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            return _fail(f"cannot write {path}: directory not found")
 
     vol = io_nifti.read_nifti(args.input)
     side, spacing = args.side, args.spacing
@@ -77,10 +81,9 @@ def cmd_extract(args) -> int:
     finally:
         config.close()
 
-    mask = cascade.restore_native(result.mask, vol.dims, vol.spacing)
+    mask = vol_ops.unresample_cube(result.mask, vol.dims, vol.spacing)
     io_nifti.write_nifti(mask, args.out)
 
-    trace_path = args.trace or (os.path.splitext(args.out)[0] + "_trace.json")
     trace = {
         "status": result.status,
         "roi_trace": [
@@ -145,11 +148,10 @@ def cmd_eval(args) -> int:
     for path in (args.pred, args.gt):
         if not os.path.exists(path):
             return _fail(f"file not found: {path}")
-    pred = cascade.conform_input(io_nifti.read_nifti(args.pred, kind=Kind.MASK),
-                                 args.side, args.spacing)
-    gt = cascade.conform_input(io_nifti.read_nifti(args.gt, kind=Kind.MASK),
-                               args.side, args.spacing)
-    report = metrics.overlap_report(pred, gt)
+    pred = io_nifti.read_nifti(args.pred, kind=Kind.MASK)
+    gt = io_nifti.read_nifti(args.gt, kind=Kind.MASK)
+    # scored on the ground truth's grid; a prediction on another grid is read onto it
+    report = metrics.overlap_report(vol_ops._resample_to(pred, gt.dims, gt.spacing), gt)
     case_id = os.path.basename(args.pred)
     if args.csv:
         new = not os.path.exists(args.csv)
@@ -283,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pred")
     p.add_argument("gt")
     p.add_argument("--csv", help="append one CSV row to this file")
-    p.add_argument("--side", type=int, default=192)
-    p.add_argument("--spacing", type=float, default=1.0)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("simulate",

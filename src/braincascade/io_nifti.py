@@ -11,6 +11,7 @@ format); in memory volumes keep the package convention of axis 0 slowest.
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import math
 import os
@@ -43,12 +44,15 @@ class NiftiError(Exception):
     """Malformed or unsupported NIfTI file."""
 
 
+@contextlib.contextmanager
 def _open_read(path):
     with open(path, "rb") as f:
         head = f.read(2)
-    if head == b"\x1f\x8b":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+    try:
+        with gzip.open(path, "rb") if head == b"\x1f\x8b" else open(path, "rb") as f:
+            yield f
+    except EOFError:  # gzip raises it wherever it reads past a cut-short stream
+        raise NiftiError(f"{path}: truncated gzip stream") from None
 
 
 def read_nifti(path, kind: Kind = Kind.INTENSITY) -> Volume:
@@ -107,7 +111,8 @@ def read_nifti(path, kind: Kind = Kind.INTENSITY) -> Volume:
     # file order: dims[0] fastest; internal order: axis 0 slowest
     data = np.frombuffer(raw, dtype=dtype).reshape(dims, order="F")
     if scaled:  # C order first: astype would keep the file's Fortran layout
-        data = np.ascontiguousarray(data, dtype=np.float32) * scl_slope + scl_inter
+        with np.errstate(over="ignore"):  # a value beyond float32 reads as an infinity
+            data = np.ascontiguousarray(data, dtype=np.float32) * scl_slope + scl_inter
     else:
         data = np.ascontiguousarray(data)
     return Volume(data, spacing, kind)

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from braincascade import cascade, cli, io_nifti, synth
+from braincascade import cascade, cli, io_nifti, metrics, synth
 from braincascade import volume as vol_ops
 from braincascade.cli import main
 from braincascade.predictor import ExternalPredictor, Predictor
@@ -68,6 +68,11 @@ class TestExtract:
         trace = json.loads((tmp_path / "mask_trace.json").read_text())
         assert trace["status"] == "ok"
         assert trace["roi_trace"][0]["stage"] == "bfs"
+        capsys.readouterr()
+        # scored on the scan's own grid, as overlap_report scores the two files
+        assert main(["eval", str(out), str(gt_path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report == dataclasses.asdict(metrics.overlap_report(mask, gt))
 
     def test_threads_flag_exits_1_naming_it(self, tmp_path, phantom_files, capsys):
         img_path, gt_path = phantom_files
@@ -77,6 +82,23 @@ class TestExtract:
         assert capsys.readouterr().err == (
             "error: braincascade: unrecognized arguments: --threads 2\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, path", [("--out", "nodir/x.nii"),
+                                            ("--trace", "nodir/t.json")])
+    def test_missing_output_directory_fails_first(self, tmp_path, phantom_files, capsys,
+                                                  monkeypatch, flag, path):
+        """An output that cannot be written fails before the scan is read,
+        not after the whole cascade has run."""
+        def ran(*args, **kwargs):
+            raise AssertionError("the cascade ran")
+        monkeypatch.setattr(cascade, "extract_brain", ran)
+        monkeypatch.chdir(tmp_path)
+        img_path, gt_path = phantom_files
+        argv = ["extract", str(img_path), "--config", str(oracle_config(tmp_path, gt_path)),
+                "--out", "mask.nii", "--side", "96", flag, path]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: cannot write {path}: directory not found\n"
+        assert not (tmp_path / "mask.nii").exists()
 
     def test_missing_input(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -570,7 +592,7 @@ class TestSynth:
 class TestEval:
     def test_identity_dice(self, tmp_path, phantom_files, capsys):
         _, gt_path = phantom_files
-        code = main(["eval", str(gt_path), str(gt_path), "--side", "96"])
+        code = main(["eval", str(gt_path), str(gt_path)])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["dice"] == 1.0
@@ -583,7 +605,7 @@ class TestEval:
         pa, pb = tmp_path / "a.nii", tmp_path / "b.nii"
         io_nifti.write_nifti(Volume(a, kind=Kind.MASK), pa, "uint8")
         io_nifti.write_nifti(Volume(b, kind=Kind.MASK), pb, "uint8")
-        code = main(["eval", str(pa), str(pb), "--side", "96"])
+        code = main(["eval", str(pa), str(pb)])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["dice"] == pytest.approx(0.5)
@@ -592,10 +614,45 @@ class TestEval:
         _, gt_path = phantom_files
         csv = tmp_path / "rows.csv"
         for _ in range(2):
-            assert main(["eval", str(gt_path), str(gt_path), "--side", "96",
-                         "--csv", str(csv)]) == 0
+            assert main(["eval", str(gt_path), str(gt_path), "--csv", str(csv)]) == 0
         lines = csv.read_text().strip().splitlines()
         assert len(lines) == 3  # header + 2 rows
+
+    @staticmethod
+    def write_box(path, dims, spacing, box):
+        data = np.zeros(dims, np.uint8)
+        data[tuple(slice(a, b) for a, b in box)] = 1
+        io_nifti.write_nifti(Volume(data, spacing, Kind.MASK), path, "uint8")
+
+    def test_scores_the_whole_ground_truth_grid(self, tmp_path, capsys):
+        """Two disjoint boxes near opposite corners of a grid larger than the
+        192 mm cube: cropped to the cube, both were empty and scored 1.0."""
+        pred, gt = tmp_path / "pred.nii", tmp_path / "gt.nii"
+        self.write_box(pred, (300, 300, 60), (1.0, 1.0, 3.0), [(5, 45), (5, 45), (2, 17)])
+        self.write_box(gt, (300, 300, 60), (1.0, 1.0, 3.0), [(255, 295), (255, 295), (43, 58)])
+        assert main(["eval", str(pred), str(gt)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["dice"] == 0.0
+        assert report["gt_voxels"] == report["pred_voxels"] == report["fp"] == 24000
+        assert report["gt_mm3"] == report["pred_mm3"] == 72000.0
+        assert report["fp_rate"] == 24000 / (300 * 300 * 60 - 24000)
+
+    def test_prediction_on_another_grid(self, tmp_path, capsys):
+        """A 2 mm prediction is read nearest-neighbour onto the 1 mm ground
+        truth; a box whose faces lie on 2 mm voxel boundaries is the same box."""
+        pred, gt = tmp_path / "pred.nii", tmp_path / "gt.nii"
+        self.write_box(pred, (20, 16, 12), (2.0, 2.0, 2.0), [(5, 15), (3, 9), (2, 10)])
+        self.write_box(gt, (40, 32, 24), (1.0, 1.0, 1.0), [(10, 30), (6, 18), (4, 20)])
+        assert main(["eval", str(pred), str(gt)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["dice"] == 1.0 and report["pred_voxels"] == 20 * 12 * 16
+
+    @pytest.mark.parametrize("flag, value", [("--side", "96"), ("--spacing", "1")])
+    def test_cube_flags_exit_1_naming_them(self, tmp_path, phantom_files, capsys, flag, value):
+        _, gt_path = phantom_files
+        assert main(["eval", str(gt_path), str(gt_path), flag, value]) == 1
+        assert capsys.readouterr().err == (
+            f"error: braincascade: unrecognized arguments: {flag} {value}\n")
 
 
 class TestSimulate:

@@ -1,17 +1,22 @@
-"""Seeded fuzz of the CLI's options against its exit-code contract.
+"""Seeded fuzz of the CLI's options and of its NIfTI inputs against its
+exit-code contract.
 
-Each case runs `cli.main` on a small valid command with one option mutated,
-dropped or misspelled, or one unknown option added, and checks what the
-README documents: exit 0, 1 or 2; on 1, exactly one stderr line `error: …`;
-on 2, exactly `no brain found`; no traceback and no warning. Every size and
-count stays at 16 or below (`synth --count` at 2), so the whole fuzz takes a
-few seconds: `--side` is never dropped, and `simulate`, which builds fixed 192³
-phantoms, always gets a `--seeds` below 1 or not an integer and must fail
-before it runs.
+An option case runs `cli.main` on a small valid command with one option
+mutated, dropped or misspelled, or one unknown option added. A header case
+mutates the header fields `read_nifti` reads in one input file, or cuts the
+file short, as `.nii` or `.nii.gz`, and runs `eval` and `extract --side 16` on
+it. Each checks what the README documents: exit 0, 1 or 2; on 1, exactly one
+stderr line `error: …`; on 2, exactly `no brain found`; no traceback and no
+warning. Every size and count stays at 16 or below (`synth --count` at 2), so
+the whole fuzz takes a few seconds: `--side` is never dropped, and `simulate`,
+which builds fixed 192³ phantoms, always gets a `--seeds` below 1 or not an
+integer and must fail before it runs.
 """
 
+import gzip
 import json
 import random
+import struct
 import warnings
 
 import numpy as np
@@ -59,8 +64,7 @@ COMMANDS = {
                  ("--seed", "3", INTS), ("--side", "16", SIZES),
                  ("--spacing", "1.0", SPACINGS)]),
     "eval": ([("empty.nii", PATHS), ("gt.nii", PATHS)],
-             [("--csv", "scores.csv", PATHS), ("--side", "16", SIZES),
-              ("--spacing", "1.0", SPACINGS)]),
+             [("--csv", "scores.csv", PATHS)]),
     "synth": ([],
               [("--model", "D", ["E", "", "d", "AB", "x"]),
                ("--count", "2", BAD + ["1", "2"]), ("--seed", "7", INTS),
@@ -122,7 +126,11 @@ def run_case(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv(cli.DEFAULT_CONFIG_ENV, raising=False)
     write_inputs(tmp_path)
+    return check_main(argv, monkeypatch, capsys)
 
+
+def check_main(argv, monkeypatch, capsys):
+    """Run ``argv`` through `cli.main`; check the contract."""
     if argv[0] == "simulate":
         def ran(*args):
             raise AssertionError(f"simulate ran: {argv}")
@@ -168,3 +176,85 @@ def test_base_commands_succeed(tmp_path, monkeypatch, capsys):
         argv = [cmd] + [v for v, _ in positionals] + [a for f, v, _ in options for a in (f, v)]
         (tmp_path / cmd).mkdir()
         assert run_case(argv, tmp_path / cmd, monkeypatch, capsys)[0] == 0, argv
+
+
+FLOATS = [0.0, -1.0, 1e-30, 1e-3, 0.5, 2.0, 351.0, 353.0, 700.0, 1e12, 1e30, 3e38,
+          float("nan"), float("inf"), float("-inf")]
+DIMS = [-32768, -1, 0, 1, 2, 3, 4, 5, 8, 16, 255, 32767]
+# offset, struct format and value pool of each header field read_nifti reads
+HEADER_FIELDS = {
+    "sizeof_hdr": (0, "<i", [-1, 0, 347, 349, 540, 2**31 - 1]),
+    **{f"dim[{i}]": (40 + 2 * i, "<h", DIMS) for i in range(5)},
+    "datatype": (70, "<h", [-1, 0, 1, 2, 4, 8, 16, 64, 256, 512, 768]),
+    **{f"pixdim[{i}]": (76 + 4 * i, "<f", FLOATS) for i in (1, 2, 3)},
+    "vox_offset": (108, "<f", FLOATS + [352.0, 356.0]),
+    "scl_slope": (112, "<f", FLOATS + [1.0]),
+    "scl_inter": (116, "<f", FLOATS),
+}
+MAGICS = [b"ni1\x00", b"n+2\x00", b"\x00" * 4, b"n+1 ", b"N+1\x00"]
+HEADER_SEEDS = range(96)
+
+
+def mutate_input(seed, d):
+    """Apply header fuzz case ``seed`` to one of the inputs in ``d``: one to
+    three header fields or the magic set to a pooled value, or the file cut
+    short at a seeded byte count, written as `.nii` or `.nii.gz`. Returns the
+    file names to run the commands on."""
+    rng = random.Random(seed)
+    names = {name: name for name in ("scan.nii", "gt.nii", "empty.nii")}
+    name = rng.choice(sorted(names))
+    raw = bytearray((d / name).read_bytes())
+    truncate = False
+    for _ in range(rng.choice([1, 1, 2, 3])):
+        field = rng.choice(sorted(HEADER_FIELDS) + ["magic", "truncate"])
+        if field == "magic":
+            raw[344:348] = rng.choice(MAGICS)
+        elif field == "truncate":
+            truncate = True
+        else:
+            offset, fmt, pool = HEADER_FIELDS[field]
+            struct.pack_into(fmt, raw, offset, rng.choice(pool))
+    if rng.random() < 0.5:
+        raw = gzip.compress(raw, 1, mtime=0)
+        names[name] += ".gz"
+    if truncate:
+        raw = raw[:rng.randrange(len(raw))]
+    (d / names[name]).write_bytes(raw)
+    return names
+
+
+def run_header_case(seed, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    names = mutate_input(seed, tmp_path)
+    return [check_main(argv, monkeypatch, capsys) for argv in (
+        ["eval", names["empty.nii"], names["gt.nii"]],
+        ["extract", names["scan.nii"], "--config", "config.json", "--gt", names["gt.nii"],
+         "--out", "out.nii", "--side", "16"])]
+
+
+@pytest.mark.parametrize("seed", HEADER_SEEDS)
+def test_nifti_header_fuzz(seed, tmp_path, monkeypatch, capsys):
+    run_header_case(seed, tmp_path, monkeypatch, capsys)
+
+
+def test_header_seed_46_truncated_gzip(tmp_path, monkeypatch, capsys):
+    """A `.nii.gz` cut short made gzip raise `EOFError`, which `main` did not
+    catch: a traceback. It is now one `error:` line naming the file."""
+    assert run_header_case(46, tmp_path, monkeypatch, capsys)[0] == (
+        1, "error: empty.nii.gz: truncated gzip stream\n")
+
+
+def test_scaled_value_beyond_float32(tmp_path, monkeypatch, capsys):
+    """float32 bytes read as int16 and scaled by 3e38 overflow float32, and
+    resampling the infinities makes NaNs: numpy printed a RuntimeWarning for
+    each before the `error:` line. Now only the error line is printed."""
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    raw = bytearray((tmp_path / "scan.nii").read_bytes())
+    struct.pack_into("<h", raw, 70, 4)
+    struct.pack_into("<f", raw, 112, 3e38)
+    (tmp_path / "scan.nii").write_bytes(raw)
+    argv = ["extract", "scan.nii", "--config", "config.json", "--out", "out.nii", "--side", "16"]
+    assert check_main(argv, monkeypatch, capsys) == (
+        1, "error: intensities must be finite, got min nan and max nan\n")
