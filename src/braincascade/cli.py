@@ -36,9 +36,17 @@ def _fail(msg: str) -> int:
     return 1
 
 
+def _parse_json(text, where):
+    """JSON from ``text``; a syntax or encoding error names ``where``."""
+    try:
+        return json.loads(text)
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
+
+
 def _load_json(path):
-    with open(path) as f:
-        return json.load(f)
+    with open(path, "rb") as f:
+        return _parse_json(f.read(), path)
 
 
 def _substream(master_seed: int, label: str, *extra) -> np.random.Generator:
@@ -50,13 +58,9 @@ def _substream(master_seed: int, label: str, *extra) -> np.random.Generator:
 # -- extract -----------------------------------------------------------------
 
 def cmd_extract(args) -> int:
-    if not os.path.exists(args.input):
-        return _fail(f"input file not found: {args.input}")
     config_path = args.config or os.environ.get(DEFAULT_CONFIG_ENV)
     if config_path is None:
         return _fail(f"no config given (use --config or set ${DEFAULT_CONFIG_ENV})")
-    if not os.path.exists(config_path):
-        return _fail(f"config file not found: {config_path}")
     cfg_dict = cascade.check_config_keys(_load_json(config_path))
     trace_path = args.trace or (os.path.splitext(args.out)[0] + "_trace.json")
     for path in (args.out, trace_path):  # checked before the cascade, not after it
@@ -69,8 +73,6 @@ def cmd_extract(args) -> int:
     gt = None
     gt_path = args.gt or cfg_dict.get("gt")
     if gt_path:
-        if not os.path.exists(gt_path):
-            return _fail(f"ground-truth file not found: {gt_path}")
         gt = cascade.conform_input(
             io_nifti.read_nifti(gt_path, kind=Kind.MASK), side, spacing
         )
@@ -114,8 +116,6 @@ def cmd_synth(args) -> int:
         params = cascade.from_json(synth.SynthesisParams, _load_json(args.params), args.params)
 
     if args.labelmap:
-        if not os.path.exists(args.labelmap):
-            return _fail(f"label map not found: {args.labelmap}")
         lm_vol = io_nifti.read_nifti(args.labelmap, kind=Kind.LABEL)
         lm = lambda i: lm_vol
     else:
@@ -145,18 +145,14 @@ def cmd_synth(args) -> int:
 # -- eval --------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
-    for path in (args.pred, args.gt):
-        if not os.path.exists(path):
-            return _fail(f"file not found: {path}")
     pred = io_nifti.read_nifti(args.pred, kind=Kind.MASK)
     gt = io_nifti.read_nifti(args.gt, kind=Kind.MASK)
     # scored on the ground truth's grid; a prediction on another grid is read onto it
     report = metrics.overlap_report(vol_ops._resample_to(pred, gt.dims, gt.spacing), gt)
     case_id = os.path.basename(args.pred)
     if args.csv:
-        new = not os.path.exists(args.csv)
         with open(args.csv, "a") as f:
-            if new:
+            if f.tell() == 0:  # a new or empty file
                 f.write(metrics.OverlapReport.CSV_HEADER + "\n")
             f.write(report.csv_row(case_id) + "\n")
     print(json.dumps(dataclasses.asdict(report), indent=2))
@@ -170,10 +166,8 @@ def cmd_simulate(args) -> int:
         return _fail(f"--seeds must be >= 1, got {args.seeds}")
     if args.noise_spec and os.path.exists(args.noise_spec):
         spec_dict = _load_json(args.noise_spec)
-    elif args.noise_spec:
-        spec_dict = json.loads(args.noise_spec)
-    else:
-        spec_dict = {}
+    else:  # inline JSON
+        spec_dict = _parse_json(args.noise_spec or "{}", "--noise-spec")
     noise = cascade.from_json(NoiseSpec, spec_dict, "--noise-spec")
 
     rows = []
@@ -309,6 +303,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (OSError, ValueError, MemoryError, io_nifti.NiftiError, PredictorError) as e:
+        if isinstance(e, FileNotFoundError) and e.filename is not None:
+            return _fail(f"file not found: {e.filename}")
         return _fail(str(e) or "out of memory")
 
 

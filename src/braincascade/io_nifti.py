@@ -14,9 +14,8 @@ from __future__ import annotations
 import contextlib
 import gzip
 import math
-import os
 import struct
-import sys
+import zlib
 
 import numpy as np
 
@@ -31,9 +30,9 @@ _DTYPES = {2: np.dtype("<u1"), 4: np.dtype("<i2"), 16: np.dtype("<f4")}
 _CODES = {dtype.name: code for code, dtype in _DTYPES.items()}
 
 
-# bytes read from a gzip stream at a time: its header's dims claim a size that
-# only reading the stream can confirm
-_GZIP_CHUNK = 1 << 24
+# bytes read at a time: a header's vox_offset and dims claim sizes that only
+# reading the stream can confirm
+_READ_CHUNK = 1 << 24
 # voxels written at a time, in whole planes of axis 2, the slowest axis on
 # disk; planes of up to 32 Ki voxels then go 16 or more at a time, where the
 # transposing copy is no slower than one whole-volume copy
@@ -46,13 +45,16 @@ class NiftiError(Exception):
 
 @contextlib.contextmanager
 def _open_read(path):
-    with open(path, "rb") as f:
-        head = f.read(2)
+    """The file at ``path``, gunzipped if it starts with the gzip magic; a
+    stream that does not decode ends here as a NiftiError naming the file."""
     try:
-        with gzip.open(path, "rb") if head == b"\x1f\x8b" else open(path, "rb") as f:
-            yield f
+        with open(path, "rb") as f, (
+                gzip.GzipFile(fileobj=f) if f.peek(2)[:2] == b"\x1f\x8b" else f) as stream:
+            yield stream
     except EOFError:  # gzip raises it wherever it reads past a cut-short stream
         raise NiftiError(f"{path}: truncated gzip stream") from None
+    except (gzip.BadGzipFile, zlib.error) as e:  # CRC, length, trailing bytes; deflate data
+        raise NiftiError(f"{path}: corrupt gzip stream: {e}") from None
 
 
 def read_nifti(path, kind: Kind = Kind.INTENSITY) -> Volume:
@@ -98,36 +100,36 @@ def read_nifti(path, kind: Kind = Kind.INTENSITY) -> Volume:
 
         dtype = _DTYPES[datatype]
         nbytes = math.prod(dims) * dtype.itemsize
-        if isinstance(f, gzip.GzipFile):
-            f.seek(min(int(vox_offset), sys.maxsize))  # reads forward, stops at the end
-            raw = _read_gzip(f, nbytes)
-        else:  # read no more than the file holds
-            size = os.fstat(f.fileno()).st_size
-            f.seek(min(int(vox_offset), size))
-            raw = f.read(min(nbytes, size - f.tell()))
+        # to the data by reading, not seeking: a seek past the filesystem's limit fails
+        for _ in _chunks(f, int(vox_offset) - HEADER_SIZE):
+            pass
+        raw = b"".join(_chunks(f, nbytes))  # one chunk is joined as itself, uncopied
         if len(raw) < nbytes:
             raise NiftiError(f"{path}: truncated data ({len(raw)} of {nbytes} bytes)")
+        while f.read1():  # on to the end, where gzip checks its CRC-32 and length
+            pass
 
     # file order: dims[0] fastest; internal order: axis 0 slowest
     data = np.frombuffer(raw, dtype=dtype).reshape(dims, order="F")
     if scaled:  # C order first: astype would keep the file's Fortran layout
-        with np.errstate(over="ignore"):  # a value beyond float32 reads as an infinity
+        # a value beyond float32 reads as an infinity, a signalling NaN as a NaN
+        with np.errstate(over="ignore", invalid="ignore"):
             data = np.ascontiguousarray(data, dtype=np.float32) * scl_slope + scl_inter
     else:
         data = np.ascontiguousarray(data)
-    return Volume(data, spacing, kind)
+    try:
+        return Volume(data, spacing, kind)
+    except ValueError as e:  # voxels that do not fit the kind asked for
+        raise NiftiError(f"{path}: {e}") from None
 
 
-def _read_gzip(f, nbytes: int):
-    """Up to ``nbytes`` of a gzip stream, read in bounded chunks into one
-    buffer, so that a header claiming more than the stream holds costs no
-    more memory than the stream holds."""
-    raw = f.read(min(nbytes, _GZIP_CHUNK))
-    if len(raw) == _GZIP_CHUNK < nbytes:
-        raw = bytearray(raw)  # grows in place: no list of chunks to join
-        while len(raw) < nbytes and (chunk := f.read(min(nbytes - len(raw), _GZIP_CHUNK))):
-            raw += chunk
-    return raw
+def _chunks(f, nbytes):
+    """Up to ``nbytes`` of a stream, one bounded chunk at a time, so that a
+    header claiming more than the stream holds costs no more memory than the
+    stream holds."""
+    while nbytes > 0 and (chunk := f.read(min(nbytes, _READ_CHUNK))):
+        nbytes -= len(chunk)
+        yield chunk
 
 
 def write_nifti(vol: Volume, path, datatype: str | None = None) -> None:

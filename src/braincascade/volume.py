@@ -30,7 +30,8 @@ def is_binary(data: np.ndarray) -> bool:
     """
     if data.dtype == np.bool_ or np.issubdtype(data.dtype, np.unsignedinteger):
         return bool(data.max(initial=0) <= 1)
-    return bool(np.isin(data, (0, 1)).all())
+    with np.errstate(invalid="ignore"):  # a signalling NaN is not 0 or 1, and not a warning
+        return bool(np.isin(data, (0, 1)).all())
 
 
 @dataclass(frozen=True)

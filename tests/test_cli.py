@@ -655,6 +655,74 @@ class TestEval:
             f"error: braincascade: unrecognized arguments: {flag} {value}\n")
 
 
+    def test_csv_header_on_an_empty_file(self, tmp_path, phantom_files, capsys):
+        _, gt_path = phantom_files
+        csv = tmp_path / "rows.csv"
+        csv.write_text("")
+        assert main(["eval", str(gt_path), str(gt_path), "--csv", str(csv)]) == 0
+        lines = csv.read_text().splitlines()
+        assert lines[0] == metrics.OverlapReport.CSV_HEADER and len(lines) == 2
+
+
+class TestInputErrors:
+    """A missing input file, or one that does not parse, ends in one `error:`
+    line naming it, exit 1."""
+
+    @pytest.fixture(autouse=True)
+    def inputs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        data = np.zeros((8, 8, 8), np.uint8)
+        data[2:6, 2:6, 2:6] = 1
+        io_nifti.write_nifti(Volume(data, kind=Kind.MASK), "gt.nii")
+        io_nifti.write_nifti(Volume(data * 2, kind=Kind.LABEL), "two.nii")
+        io_nifti.write_nifti(Volume(-data.astype(np.int16), kind=Kind.INTENSITY), "neg.nii",
+                             "int16")
+        (tmp_path / "empty.json").write_text("{}")
+        (tmp_path / "bad.json").write_text('{"alpha": }')
+
+    EXTRACT = ["extract", "gt.nii", "--config", "empty.json", "--out", "o.nii", "--side", "16"]
+
+    @pytest.mark.parametrize("argv, line", [
+        (["extract", "missing.nii", "--config", "empty.json", "--out", "o.nii"],
+         "file not found: missing.nii"),
+        (["extract", "gt.nii", "--config", "missing.json", "--out", "o.nii"],
+         "file not found: missing.json"),
+        (EXTRACT + ["--gt", "missing.nii"], "file not found: missing.nii"),
+        (["synth", "--model", "D", "--labelmap", "missing.nii", "--outdir", "out"],
+         "file not found: missing.nii"),
+        (["synth", "--params", "missing.json", "--outdir", "out"], "file not found: missing.json"),
+        (["eval", "missing.nii", "gt.nii"], "file not found: missing.nii"),
+        (["eval", "gt.nii", "missing.nii"], "file not found: missing.nii"),
+        (["extract", "gt.nii", "--config", "bad.json", "--out", "o.nii"],
+         "bad.json: Expecting value: line 1 column 11 (char 10)"),
+        (["synth", "--params", "bad.json", "--outdir", "out"],
+         "bad.json: Expecting value: line 1 column 11 (char 10)"),
+        (["simulate", "--noise-spec", "bad.json"],
+         "bad.json: Expecting value: line 1 column 11 (char 10)"),
+        (["simulate", "--noise-spec", '{"per_voxel_fp": }'],
+         "--noise-spec: Expecting value: line 1 column 18 (char 17)"),
+        (["eval", "two.nii", "gt.nii"], "two.nii: mask volume contains values outside {0, 1}"),
+        (["eval", "gt.nii", "two.nii"], "two.nii: mask volume contains values outside {0, 1}"),
+        (EXTRACT + ["--gt", "two.nii"], "two.nii: mask volume contains values outside {0, 1}"),
+        (["synth", "--model", "D", "--labelmap", "neg.nii", "--outdir", "out"],
+         "neg.nii: label volume must hold non-negative integers"),
+    ], ids=["extract-input", "extract-config", "extract-gt", "synth-labelmap", "synth-params",
+            "eval-pred", "eval-gt", "config-syntax", "params-syntax", "noise-spec-file-syntax",
+            "noise-spec-syntax", "eval-pred-kind", "eval-gt-kind", "extract-gt-kind",
+            "synth-labelmap-kind"])
+    def test_one_line_naming_the_file(self, tmp_path, capsys, argv, line):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert not (tmp_path / "o.nii").exists() and not (tmp_path / "out").exists()
+
+    def test_file_not_found_without_a_name(self, capsys, monkeypatch):
+        def read_nifti(path, kind=Kind.INTENSITY):
+            raise FileNotFoundError(2, "No such file or directory")
+        monkeypatch.setattr(cli.io_nifti, "read_nifti", read_nifti)
+        assert main(["eval", "gt.nii", "gt.nii"]) == 1
+        assert capsys.readouterr().err == "error: [Errno 2] No such file or directory\n"
+
+
 class TestSimulate:
     def test_zero_noise_both_arms_high(self, tmp_path, capsys):
         code = main(["simulate", "--seeds", "2", "--seed", "1",

@@ -5,7 +5,10 @@ An option case runs `cli.main` on a small valid command with one option
 mutated, dropped or misspelled, or one unknown option added. A header case
 mutates the header fields `read_nifti` reads in one input file, or cuts the
 file short, as `.nii` or `.nii.gz`, and runs `eval` and `extract --side 16` on
-it. Each checks what the README documents: exit 0, 1 or 2; on 1, exactly one
+it. A payload case flips one bit in an input's compressed bytes, as `.nii.gz`,
+or in its voxel bytes, as `.nii`, and runs the same two commands; a
+`.nii.gz` one of them reads must hold the original bytes. Each case checks
+what the README documents: exit 0, 1 or 2; on 1, exactly one
 stderr line `error: …`; on 2, exactly `no brain found`; no traceback and no
 warning. Every size and count stays at 16 or below (`synth --count` at 2), so
 the whole fuzz takes a few seconds: `--side` is never dropped, and `simulate`,
@@ -18,6 +21,7 @@ import json
 import random
 import struct
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -243,6 +247,108 @@ def test_header_seed_46_truncated_gzip(tmp_path, monkeypatch, capsys):
     catch: a traceback. It is now one `error:` line naming the file."""
     assert run_header_case(46, tmp_path, monkeypatch, capsys)[0] == (
         1, "error: empty.nii.gz: truncated gzip stream\n")
+
+
+PAYLOAD_SEEDS = range(64)
+
+
+def flip_payload(seed, d):
+    """Apply payload fuzz case ``seed`` to one of the inputs in ``d``: one
+    seeded bit flipped in its compressed bytes, written as `.nii.gz`, or in
+    its voxel bytes, written as `.nii`. Returns the file names to run the
+    commands on, the name of the flipped file and its bytes."""
+    rng = random.Random(seed)
+    names = {name: name for name in ("scan.nii", "gt.nii", "empty.nii")}
+    name = rng.choice(sorted(names))
+    raw = (d / name).read_bytes()
+    if rng.random() < 0.5:
+        raw = bytearray(gzip.compress(raw, 1, mtime=0))
+        names[name] += ".gz"
+        i = rng.randrange(len(raw))
+    else:
+        raw = bytearray(raw)
+        i = rng.randrange(io_nifti.VOX_OFFSET, len(raw))
+    raw[i] ^= 1 << rng.randrange(8)
+    (d / names[name]).write_bytes(raw)
+    return names, names[name], bytes(raw)
+
+
+@pytest.mark.parametrize("seed", PAYLOAD_SEEDS)
+def test_nifti_payload_fuzz(seed, tmp_path, monkeypatch, capsys):
+    """Each command keeps the contract; a `.nii.gz` that a command reads
+    without error holds the original bytes, so a flipped bit in a gzip
+    stream is never read as other voxel values."""
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    names, flipped, raw = flip_payload(seed, tmp_path)
+    for argv in (["eval", names["empty.nii"], names["gt.nii"]],
+                 ["extract", names["scan.nii"], "--config", "config.json",
+                  "--gt", names["gt.nii"], "--out", "out.nii", "--side", "16"]):
+        code, _ = check_main(argv, monkeypatch, capsys)
+        if code != 1 and flipped in argv and flipped.endswith(".gz"):
+            assert gzip.decompress(raw) == (tmp_path / flipped[:-3]).read_bytes(), argv
+
+
+def gzipped_mask(d, corrupt):
+    """`empty.nii` gzipped, then passed through ``corrupt``, as `empty.nii.gz`."""
+    write_inputs(d)
+    (d / "empty.nii.gz").write_bytes(corrupt(gzip.compress((d / "empty.nii").read_bytes())))
+    return ["eval", "empty.nii.gz", "gt.nii"]
+
+
+def stored_block(raw):
+    """A gzip stream of ``raw`` in one stored deflate block whose NLEN is not
+    the complement of its LEN."""
+    header = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff"
+    return (header + b"\x01" + struct.pack("<HH", len(raw), len(raw)) + raw
+            + struct.pack("<II", zlib.crc32(raw), len(raw)))
+
+
+@pytest.mark.parametrize("corrupt, line", [
+    (lambda gz: stored_block(gzip.decompress(gz)), "corrupt gzip stream: Error -3 while "
+     "decompressing data: invalid stored block lengths"),
+    (lambda gz: gz[:-8] + bytes([gz[-8] ^ 1]) + gz[-7:], "corrupt gzip stream: CRC check failed"),
+    (lambda gz: gz[:-3], "truncated gzip stream"),
+], ids=["deflate-data", "crc", "cut-in-trailer"])
+def test_corrupt_gzip_stream(corrupt, line, tmp_path, monkeypatch, capsys):
+    """Invalid deflate data raised a bare `zlib.error` (a traceback); a CRC
+    mismatch and a stream cut inside its 8-byte trailer read without error,
+    since the reader stopped before the trailer. Each is now one line
+    naming the file."""
+    monkeypatch.chdir(tmp_path)
+    code, err = check_main(gzipped_mask(tmp_path, corrupt), monkeypatch, capsys)
+    assert code == 1 and err.startswith(f"error: empty.nii.gz: {line}"), err
+
+
+def signalling_nan(path, slope=1.0):
+    """Set the centre voxel of a 20×18×16 float32 file at ``path`` to the
+    signalling NaN 0x7f800001, and its scl_slope to ``slope``."""
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<I", raw, io_nifti.VOX_OFFSET + 4 * (10 + 20 * 9 + 20 * 18 * 8), 0x7F800001)
+    struct.pack_into("<f", raw, 112, slope)
+    path.write_bytes(raw)
+
+
+def test_signalling_nan_in_a_mask(tmp_path, monkeypatch, capsys):
+    """`is_binary` warned `invalid value encountered in cast` before the line."""
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    io_nifti.write_nifti(Volume(np.zeros((20, 18, 16), np.float32), kind=Kind.MASK),
+                         tmp_path / "snan.nii", "float32")
+    signalling_nan(tmp_path / "snan.nii")
+    assert check_main(["eval", "snan.nii", "gt.nii"], monkeypatch, capsys) == (
+        1, "error: snan.nii: mask volume contains values outside {0, 1}\n")
+
+
+def test_signalling_nan_scaled(tmp_path, monkeypatch, capsys):
+    """Scaling by scl_slope 2 warned `invalid value encountered in multiply`
+    before the line."""
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    signalling_nan(tmp_path / "scan.nii", slope=2.0)
+    argv = ["extract", "scan.nii", "--config", "config.json", "--out", "out.nii", "--side", "16"]
+    assert check_main(argv, monkeypatch, capsys) == (
+        1, "error: intensities must be finite, got min nan and max nan\n")
 
 
 def test_scaled_value_beyond_float32(tmp_path, monkeypatch, capsys):

@@ -146,7 +146,7 @@ class TestRead:
         finally:
             tracemalloc.stop()
         assert str(e.value) == f"{path}: truncated data ({held} of {nbytes} bytes)"
-        assert peak < io_nifti._GZIP_CHUNK + (1 << 20)
+        assert peak < io_nifti._READ_CHUNK + (1 << 20)
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -2.0])
     def test_unusable_pixdim_reads_as_one(self, tmp_path, bad):
@@ -165,7 +165,7 @@ class TestRead:
         np.testing.assert_array_equal(back.data, vol.data)
 
     def test_gzip_read_in_chunks(self, tmp_path, rng, monkeypatch):
-        monkeypatch.setattr(io_nifti, "_GZIP_CHUNK", 1000)
+        monkeypatch.setattr(io_nifti, "_READ_CHUNK", 1000)
         vol = Volume(rng.random((9, 10, 11)).astype(np.float32))  # 3960 bytes: 4 chunks
         plain = tmp_path / "vol.nii"
         write_nifti(vol, plain, "float32")
@@ -178,9 +178,9 @@ class TestRead:
 
     @pytest.mark.parametrize("gz", [False, True], ids=["nii", "nii.gz"])
     def test_valid_file_read_holds_one_copy(self, tmp_path, rng, monkeypatch, gz):
-        # the raw bytes (grown in place when gzip is read in chunks) and the
-        # array made from them, never a second copy of the raw bytes
-        monkeypatch.setattr(io_nifti, "_GZIP_CHUNK", 1 << 16)
+        # two copies' worth at most: the chunks and the raw bytes joined from
+        # them, then the raw bytes and the array made from them
+        monkeypatch.setattr(io_nifti, "_READ_CHUNK", 1 << 16)
         vol = Volume(rng.random((40, 50, 60)).astype(np.float32))
         path = tmp_path / "vol.nii"
         write_nifti(vol, path, "float32")
@@ -212,6 +212,70 @@ class TestRead:
         else:
             with pytest.raises(NiftiError, match=rf"only 3D volumes supported, dim\[0\]={ndim}"):
                 read_nifti(path)
+
+    @staticmethod
+    def plain_bytes(tmp_path, rng):
+        vol = Volume(rng.random((3, 4, 5)).astype(np.float32))
+        write_nifti(vol, tmp_path / "v.nii", "float32")
+        return vol, (tmp_path / "v.nii").read_bytes()
+
+    @pytest.mark.parametrize("gz", [False, True], ids=["nii", "nii.gz"])
+    def test_gap_before_data_and_bytes_after_it(self, tmp_path, rng, gz):
+        # the gap up to vox_offset is read and dropped, and so is all that
+        # follows the voxels
+        vol, raw = self.plain_bytes(tmp_path, rng)
+        raw = bytearray(raw[:VOX_OFFSET]) + b"\x07" * 48 + raw[VOX_OFFSET:] + b"\x09" * 1000
+        struct.pack_into("<f", raw, 108, VOX_OFFSET + 48.0)
+        path = tmp_path / ("gap.nii.gz" if gz else "gap.nii")
+        path.write_bytes(gzip.compress(bytes(raw)) if gz else bytes(raw))
+        np.testing.assert_array_equal(read_nifti(path).data, vol.data)
+
+    def test_gzip_members_and_padding(self, tmp_path, rng):
+        # a stream of two members, the second holding the end of the voxels,
+        # then zero padding, reads as the file it holds
+        vol, raw = self.plain_bytes(tmp_path, rng)
+        path = tmp_path / "two.nii.gz"
+        path.write_bytes(gzip.compress(raw[:400]) + gzip.compress(raw[400:]) + b"\x00" * 8)
+        np.testing.assert_array_equal(read_nifti(path).data, vol.data)
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda gz: gz[:-4] + struct.pack("<I", 1), "Incorrect length of data produced"),
+        (lambda gz: gz + b"junk", "Not a gzipped file (b'ju')"),
+    ], ids=["length", "bytes-after-the-last-member"])
+    def test_corrupt_gzip_names_the_file(self, tmp_path, rng, corrupt, message):
+        # the voxels read whole; the stream is checked on to its end
+        _, raw = self.plain_bytes(tmp_path, rng)
+        path = tmp_path / "bad.nii.gz"
+        path.write_bytes(corrupt(gzip.compress(raw)))
+        with pytest.raises(NiftiError) as e:
+            read_nifti(path)
+        assert str(e.value) == f"{path}: corrupt gzip stream: {message}"
+
+    @pytest.mark.parametrize("kind, data, message", [
+        (Kind.MASK, np.full((2, 2, 2), 2, np.uint8), "mask volume contains values outside {0, 1}"),
+        (Kind.LABEL, np.full((2, 2, 2), -1, np.int16), "label volume must hold non-negative integers"),
+        (Kind.LABEL, np.zeros((2, 2, 2), np.float32), "label volume must hold non-negative integers"),
+    ], ids=["mask-2", "label-negative", "label-float"])
+    def test_voxels_unfit_for_the_kind_name_the_file(self, tmp_path, kind, data, message):
+        path = tmp_path / "v.nii"
+        write_nifti(Volume(data), path, data.dtype.name)
+        with pytest.raises(NiftiError) as e:
+            read_nifti(path, kind)
+        assert str(e.value) == f"{path}: {message}"
+
+    def test_signalling_nan_reads_without_a_warning(self, tmp_path):
+        # float32 0x7f800001: numpy warned `invalid value` when is_binary
+        # tested it for a mask and when scl_slope scaled it
+        raw = bytearray(build_header((2, 2, 2), 16) + np.zeros(8, "<f4").tobytes())
+        struct.pack_into("<I", raw, VOX_OFFSET, 0x7F800001)
+        path = tmp_path / "snan.nii"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(NiftiError, match="mask volume contains values outside"):
+            read_nifti(path, Kind.MASK)
+        struct.pack_into("<f", raw, 112, 2.0)
+        path.write_bytes(bytes(raw))
+        data = read_nifti(path).data
+        assert np.isnan(data[0, 0, 0]) and not data.ravel()[1:].any()
 
 
 class TestWrite:
