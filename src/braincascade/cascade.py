@@ -200,8 +200,9 @@ def conform_input(vol: Volume, side: int = 192, spacing: float = 1.0) -> Volume:
     Only the resampled voxels the cube keeps are computed, so memory stays
     within the input and the cube (volume.resample_cube).
     """
-    with np.errstate(invalid="ignore"):  # an infinity interpolates to NaN, rejected below
-        out = vol_ops.resample_cube(vol, spacing, side)
+    if vol.kind is Kind.INTENSITY and vol.data.size:  # all of it finite, not only the cube
+        vol_ops.finite_range(vol.data)
+    out = vol_ops.resample_cube(vol, spacing, side)
     if out.kind is Kind.INTENSITY:
         out = vol_ops.minmax_normalize(out)
     return out

@@ -164,19 +164,18 @@ def cmd_eval(args) -> int:
 def cmd_simulate(args) -> int:
     if args.seeds < 1:
         return _fail(f"--seeds must be >= 1, got {args.seeds}")
-    if args.noise_spec and os.path.exists(args.noise_spec):
-        spec_dict = _load_json(args.noise_spec)
-    else:  # inline JSON
-        spec_dict = _parse_json(args.noise_spec or "{}", "--noise-spec")
+    spec = args.noise_spec or "{}"
+    if spec.lstrip().startswith(("{", "[")):  # inline JSON; anything else is a path
+        spec_dict = _parse_json(spec, "--noise-spec")
+    else:
+        spec_dict = _load_json(spec)
     noise = cascade.from_json(NoiseSpec, spec_dict, "--noise-spec")
 
     rows = []
     for k in range(args.seeds):
         lm = synth.make_phantom_label_map(_substream(args.seed, "sim", k), (192,) * 3)
         gt = synth.brain_mask(lm)
-        intensity = vol_ops.minmax_normalize(
-            Volume(lm.data.astype(np.float32), lm.spacing, Kind.INTENSITY)
-        )
+        intensity = Volume(lm.data.astype(np.float32), lm.spacing, Kind.INTENSITY)
         master = args.seed * 10_000 + k
         config = cascade.default_noisy_config(gt, noise, master_seed=master)
         result = cascade.extract_brain(intensity, config)
@@ -283,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate",
                        help="paired single-pass vs cascade noisy-oracle runs")
-    p.add_argument("--noise-spec", help="NoiseSpec JSON (inline or path)")
+    p.add_argument("--noise-spec", help="NoiseSpec JSON inline (starting { or [) or a file path")
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--report", help="output file prefix (.csv/.txt)")

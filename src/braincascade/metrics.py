@@ -31,24 +31,15 @@ class OverlapReport:
         )
 
 
-def _check_dims(a: Volume, b: Volume):
-    if a.dims != b.dims:
-        raise ValueError(f"volume dims mismatch: {a.dims} vs {b.dims}")
-
-
 def dice(a: Volume, b: Volume) -> float:
     """Dice overlap 2|A.B|/(|A|+|B|); two empty masks score 1.0."""
-    _check_dims(a, b)
-    inter = int(np.count_nonzero(np.logical_and(a.data, b.data)))
-    total = int(np.count_nonzero(a.data)) + int(np.count_nonzero(b.data))
-    if total == 0:
-        return 1.0
-    return 2.0 * inter / total
+    return overlap_report(a, b).dice
 
 
 def overlap_report(pred: Volume, gt: Volume) -> OverlapReport:
     """Overlap counts of pred against gt; the mm³ volumes take gt's spacing."""
-    _check_dims(pred, gt)
+    if pred.dims != gt.dims:
+        raise ValueError(f"volume dims mismatch: {pred.dims} vs {gt.dims}")
     tp = int(np.count_nonzero(np.logical_and(pred.data, gt.data)))
     n_pred = int(np.count_nonzero(pred.data))
     n_gt = int(np.count_nonzero(gt.data))

@@ -340,10 +340,16 @@ def minmax_normalize(vol: Volume) -> Volume:
 def minmax_rescale(data: np.ndarray) -> np.ndarray:
     """Rescale a float array to [0, 1] in place and return it; a constant
     array becomes zeros, and a non-finite value is a ValueError."""
-    lo, hi = float(data.min()), float(data.max())
-    if not -np.inf < lo <= hi < np.inf:  # a NaN anywhere makes min and max NaN
-        raise ValueError(f"intensities must be finite, got min {lo} and max {hi}")
+    lo, hi = finite_range(data)
     data -= lo  # constant input becomes all zeros
     if hi > lo:
         data /= hi - lo
     return data
+
+
+def finite_range(data: np.ndarray) -> tuple[float, float]:
+    """Min and max of intensities; a NaN or an infinity is a ValueError."""
+    lo, hi = float(data.min()), float(data.max())
+    if not -np.inf < lo <= hi < np.inf:  # a NaN anywhere makes min and max NaN
+        raise ValueError(f"intensities must be finite, got min {lo} and max {hi}")
+    return lo, hi

@@ -679,6 +679,7 @@ class TestInputErrors:
                              "int16")
         (tmp_path / "empty.json").write_text("{}")
         (tmp_path / "bad.json").write_text('{"alpha": }')
+        (tmp_path / "null").write_text("[1]")  # inline, null would be "got NoneType"
 
     EXTRACT = ["extract", "gt.nii", "--config", "empty.json", "--out", "o.nii", "--side", "16"]
 
@@ -701,6 +702,10 @@ class TestInputErrors:
          "bad.json: Expecting value: line 1 column 11 (char 10)"),
         (["simulate", "--noise-spec", '{"per_voxel_fp": }'],
          "--noise-spec: Expecting value: line 1 column 18 (char 17)"),
+        # not starting with { or [, a --noise-spec is a path, whether or not it exists
+        (["simulate", "--noise-spec", "missing.json"], "file not found: missing.json"),
+        (["simulate", "--noise-spec", "null"], "--noise-spec must be a JSON object, got list"),
+        (["simulate", "--noise-spec", " \n [1]"], "--noise-spec must be a JSON object, got list"),
         (["eval", "two.nii", "gt.nii"], "two.nii: mask volume contains values outside {0, 1}"),
         (["eval", "gt.nii", "two.nii"], "two.nii: mask volume contains values outside {0, 1}"),
         (EXTRACT + ["--gt", "two.nii"], "two.nii: mask volume contains values outside {0, 1}"),
@@ -708,7 +713,8 @@ class TestInputErrors:
          "neg.nii: label volume must hold non-negative integers"),
     ], ids=["extract-input", "extract-config", "extract-gt", "synth-labelmap", "synth-params",
             "eval-pred", "eval-gt", "config-syntax", "params-syntax", "noise-spec-file-syntax",
-            "noise-spec-syntax", "eval-pred-kind", "eval-gt-kind", "extract-gt-kind",
+            "noise-spec-syntax", "noise-spec-missing", "noise-spec-file-named-null",
+            "noise-spec-inline-after-blanks", "eval-pred-kind", "eval-gt-kind", "extract-gt-kind",
             "synth-labelmap-kind"])
     def test_one_line_naming_the_file(self, tmp_path, capsys, argv, line):
         assert main(argv) == 1

@@ -1,5 +1,5 @@
-"""Seeded fuzz of the CLI's options and of its NIfTI inputs against its
-exit-code contract.
+"""Seeded fuzz of the CLI's options, its NIfTI inputs and its config against
+its exit-code contract.
 
 An option case runs `cli.main` on a small valid command with one option
 mutated, dropped or misspelled, or one unknown option added. A header case
@@ -7,7 +7,10 @@ mutates the header fields `read_nifti` reads in one input file, or cuts the
 file short, as `.nii` or `.nii.gz`, and runs `eval` and `extract --side 16` on
 it. A payload case flips one bit in an input's compressed bytes, as `.nii.gz`,
 or in its voxel bytes, as `.nii`, and runs the same two commands; a
-`.nii.gz` one of them reads must hold the original bytes. Each case checks
+`.nii.gz` one of them reads must hold the original bytes. A config case puts
+one backend's predictor object at the top level or in a stage entry of a
+valid config, mutates one value at the top level, in a stage entry or in
+that predictor object, and runs `extract --side 16` on it. Each case checks
 what the README documents: exit 0, 1 or 2; on 1, exactly one
 stderr line `error: …`; on 2, exactly `no brain found`; no traceback and no
 warning. Every size and count stays at 16 or below (`synth --count` at 2), so
@@ -18,15 +21,17 @@ integer and must fail before it runs.
 
 import gzip
 import json
+import os
 import random
 import struct
+import sys
 import warnings
 import zlib
 
 import numpy as np
 import pytest
 
-from braincascade import cli, io_nifti
+from braincascade import cascade, cli, io_nifti
 from braincascade.volume import Kind, Volume
 
 SEEDS = range(128)
@@ -180,6 +185,86 @@ def test_base_commands_succeed(tmp_path, monkeypatch, capsys):
         argv = [cmd] + [v for v, _ in positionals] + [a for f, v, _ in options for a in (f, v)]
         (tmp_path / cmd).mkdir()
         assert run_case(argv, tmp_path / cmd, monkeypatch, capsys)[0] == 0, argv
+
+
+def json_values(pool):
+    """Each value of a CLI pool as a JSON string and, where it reads as one, as
+    a JSON number."""
+    out = []
+    for text in pool:
+        out.append(text)
+        for number in (int, float):
+            try:
+                out.append(number(text))
+                break
+            except ValueError:
+                pass
+    return out
+
+
+# the option pools' values, each once, and the JSON types they lack
+CONFIG_VALUES = json_values(dict.fromkeys(SIZES + INTS + PATHS)) + [None, True, [], {}]
+# sizes and counts stay at 16 or below: a stage's window and step, and a noisy
+# oracle's rates, the mean number of spheres it draws per window; an infinity
+# is rejected, not used
+SIZE_KEYS = {"window", "step", "fp_blob_rate", "fn_hole_rate"}
+SIZE_VALUES = [v for v in CONFIG_VALUES if not (isinstance(v, (int, float)) and 16 < v < np.inf)]
+SERVER = os.path.join(os.path.dirname(__file__), "fixtures", "echo_server.py")
+# a valid predictor object of each backend, holding every key it accepts
+PREDICTORS = {
+    "oracle": {"backend": "oracle"},
+    "noisy_oracle": {"backend": "noisy_oracle", "fp_blob_rate": 0.5, "fp_blob_radius": [1, 3],
+                     "fn_hole_rate": 0.5, "per_voxel_fp": 0.01, "seed_offset": 1,
+                     "model_seed": 2},
+    "constant": {"backend": "constant", "value": 0.5},
+    # -S: no site import, so the server starts in about 10 ms
+    "external": {"backend": "external", "timeout": 10.0,
+                 "command": [sys.executable, "-S", SERVER, "constant", "0.5"]},
+}
+CONFIG_SEEDS = range(64)
+
+
+def make_config(seed, d):
+    """The config of config fuzz case ``seed``: the fuzz inputs' config with
+    one backend's predictor object at the top level or in one stage entry;
+    then, at the top level, in one stage entry or in that predictor object,
+    one key the schema accepts set to a pooled value, one key dropped, or one
+    unknown key added. Returns the config and where it was mutated."""
+    rng = random.Random(seed)
+    cfg = json.loads((d / "config.json").read_text())
+    backend = rng.choice(sorted(PREDICTORS))
+    predictor = json.loads(json.dumps(PREDICTORS[backend]))
+    stage = rng.choice(cfg["bfs_stages"] + cfg["dfs_stages"])
+    rng.choice([cfg, stage])["predictor"] = predictor
+    where, obj, keys = rng.choice([
+        ("top level", cfg, cascade._TOP_KEYS), ("stage", stage, cascade._STAGE_KEYS),
+        (f"{backend} predictor", predictor, ["backend", *cascade._BACKEND_KEYS[backend]])])
+    kind = rng.choice(["value", "value", "drop", "unknown"])
+    if kind == "value":
+        key = rng.choice(sorted(keys))
+        obj[key] = rng.choice(SIZE_VALUES if key in SIZE_KEYS else CONFIG_VALUES)
+    elif kind == "drop":
+        del obj[rng.choice(sorted(obj))]
+    else:
+        obj["bogus"] = rng.choice(CONFIG_VALUES)
+    return cfg, where
+
+
+@pytest.mark.parametrize("seed", CONFIG_SEEDS)
+def test_config_value_fuzz(seed, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    (tmp_path / "case.json").write_text(json.dumps(make_config(seed, tmp_path)[0]))
+    check_main(["extract", "scan.nii", "--config", "case.json", "--out", "out.nii",
+                "--side", "16"], monkeypatch, capsys)
+
+
+def test_config_fuzz_mutates_every_level(tmp_path):
+    """The seeds mutate the top level, a stage entry and each backend's
+    predictor object."""
+    write_inputs(tmp_path)
+    assert {make_config(seed, tmp_path)[1] for seed in CONFIG_SEEDS} == {
+        "top level", "stage", *(f"{backend} predictor" for backend in PREDICTORS)}
 
 
 FLOATS = [0.0, -1.0, 1e-30, 1e-3, 0.5, 2.0, 351.0, 353.0, 700.0, 1e12, 1e30, 3e38,
@@ -363,4 +448,19 @@ def test_scaled_value_beyond_float32(tmp_path, monkeypatch, capsys):
     (tmp_path / "scan.nii").write_bytes(raw)
     argv = ["extract", "scan.nii", "--config", "config.json", "--out", "out.nii", "--side", "16"]
     assert check_main(argv, monkeypatch, capsys) == (
+        1, "error: intensities must be finite, got min -inf and max inf\n")
+
+
+def test_nan_outside_the_cube(tmp_path, monkeypatch, capsys):
+    """A quiet NaN at voxel (0, 0, 0) lies outside the 16-voxel cube: only
+    the cube was checked, so `extract` wrote a mask and exited 0. The whole
+    scan is checked now."""
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    raw = bytearray((tmp_path / "scan.nii").read_bytes())
+    struct.pack_into("<f", raw, io_nifti.VOX_OFFSET, float("nan"))
+    (tmp_path / "scan.nii").write_bytes(raw)
+    argv = ["extract", "scan.nii", "--config", "config.json", "--out", "out.nii", "--side", "16"]
+    assert check_main(argv, monkeypatch, capsys) == (
         1, "error: intensities must be finite, got min nan and max nan\n")
+    assert not (tmp_path / "out.nii").exists()
