@@ -26,6 +26,9 @@ from .volume import Kind, Volume, read_box
 PROTOCOL_MAGIC = b"CPRD"
 PROTOCOL_VERSION = 1
 POLL_SLICE_S = 60.0  # longest single poll() wait: poll takes a C int of milliseconds
+# highest fp_blob_rate / fn_hole_rate: the mean spheres drawn per window, about
+# 19 us each, so a window's noise stays near 20 ms at most
+MAX_SPHERE_RATE = 1000.0
 
 
 class PredictorError(Exception):
@@ -53,6 +56,9 @@ class NoiseSpec:
             rate = getattr(self, name)
             if not (math.isfinite(rate) and rate >= 0):
                 raise ValueError(f"{name!r} must be finite and non-negative, got {rate}")
+            if name != "per_voxel_fp" and rate > MAX_SPHERE_RATE:
+                raise ValueError(f"{name!r} must be at most {MAX_SPHERE_RATE:g} "
+                                 f"(mean spheres per window), got {rate}")
         if not self.per_voxel_fp < 1:
             raise ValueError("per_voxel_fp must be < 1")
         lo, hi = self.fp_blob_radius

@@ -14,6 +14,10 @@ Everything operates at 1 mm isotropic spacing.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -26,8 +30,32 @@ BRAIN_LABELS = (1, 2, 3, 4, 5, 6, 7)
 FIRST_SHAPE_LABEL = 8
 # Augmentation and rendering build their per-voxel float64 temporaries (the
 # coordinates, the warp and bias fields, the noise) for this many axis-0
-# planes at a time, so no whole-volume float64 array is ever held.
+# planes at a time, so no whole-volume float64 array is ever held; a slab is
+# also one task of the pair's thread pool.
 _SLAB_PLANES = 16
+# shapes whose regions may be queued or computing while the next is drawn
+_SHAPES_AHEAD = 4
+
+
+def _workers() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity outside Linux
+        return os.cpu_count() or 1
+
+
+def _pool(pool: Executor | None):
+    """A ``with`` context of ``pool``, or else of a thread pool of one worker
+    per usable CPU that lasts as long as the block."""
+    return ThreadPoolExecutor(_workers()) if pool is None else nullcontext(pool)
+
+
+def _run_all(pool: Executor, fn, items) -> None:
+    """Call ``fn`` on every item on ``pool`` and wait for all the calls. The
+    first exception is raised as itself; calls not yet started are dropped."""
+    for _ in pool.map(fn, items):
+        pass
 
 
 @dataclass(frozen=True)
@@ -196,7 +224,7 @@ def _affine_grid(dims, inv: np.ndarray, center: np.ndarray,
 
 
 def _apply_transform(lm: Volume, p: SynthesisParams, params: dict,
-                     rng: np.random.Generator) -> Volume:
+                     rng: np.random.Generator, pool: Executor | None = None) -> Volume:
     dims = lm.dims
     spacing = np.array(lm.spacing)
     center = (np.array(dims) - 1) / 2.0
@@ -210,13 +238,17 @@ def _apply_transform(lm: Volume, p: SynthesisParams, params: dict,
     grid = (rng.uniform(-p.warp_max, p.warp_max, size=(3, 8, 8, 8))
             if p.warp_max > 0 else None)
     out = np.empty(dims, dtype=lm.data.dtype)
-    for planes in vol_ops.slabs(dims[0], _SLAB_PLANES):
+
+    def resample(planes):
         coords = _affine_grid(dims, inv, center, shift_vox, planes)
         if grid is not None:
             for i in range(3):
                 coords[i] += upsample_linear(grid[i], dims, planes) / spacing[i]
         ndimage.map_coordinates(lm.data, coords, output=out[planes], order=0,
                                 mode="constant", cval=0)
+
+    with _pool(pool) as pool:
+        _run_all(pool, resample, vol_ops.slabs(dims[0], _SLAB_PLANES))
     return Volume(out, lm.spacing, Kind.LABEL)
 
 
@@ -232,13 +264,28 @@ def augment_spatial(lm: Volume, p: SynthesisParams, rng: np.random.Generator) ->
     return _apply_transform(lm, p, params, rng)
 
 
-def add_random_shapes(lm: Volume, n: int, rng: np.random.Generator) -> Volume:
+def _shape_region(box, background, center, radii, angles, noise) -> np.ndarray:
+    """The ``background`` voxels of ``box`` inside one shape: the rotated
+    ellipsoid, or, for a blob, where the ellipsoid's quadratic form plus
+    smoothed ``noise`` is at most 1."""
+    rel = [np.arange(s.start, s.stop) - c for s, c in zip(box, center)]
+    local = _linear_axes(_rotation_matrix(angles).T, rel)
+    q = sum((x / r) ** 2 for x, r in zip(local, radii))
+    if noise is not None:
+        q += ndimage.gaussian_filter(noise, sigma=max(float(radii.max()) / 4.0, 1.0))
+    return (q <= 1.0) & background
+
+
+def add_random_shapes(lm: Volume, n: int, rng: np.random.Generator,
+                      pool: Executor | None = None) -> Volume:
     """Carve n shape labels (values 8..7+n) out of the background.
 
     Shapes are a 50/50 mix of randomized ellipsoids and thresholded
     smoothed-noise blobs with radii U(2, w/4) voxels; brain labels are
     never touched. The copy keeps the map's dtype unless the last shape
-    label does not fit it.
+    label does not fit it. Each shape's parameters and noise are drawn in
+    label order; the regions are computed on ``pool`` and painted in label
+    order, so a later shape overwrites an earlier one where they overlap.
     """
     dims = lm.dims
     w = min(dims)
@@ -248,33 +295,53 @@ def add_random_shapes(lm: Volume, n: int, rng: np.random.Generator) -> Volume:
         dtype = np.promote_types(dtype, np.min_scalar_type(top))
     out = lm.data.astype(dtype)
     background = lm.data == 0
-    for k in range(n):
-        label = FIRST_SHAPE_LABEL + k
-        center = rng.uniform(0, np.array(dims))
-        radii = rng.uniform(2.0, w / 4.0, size=3)
-        angles = rng.uniform(-180, 180, size=3)
-        blobby = rng.random() < 0.5
-        rmax = float(radii.max())
-        mins = np.maximum(np.floor(center - rmax).astype(int), 0)
-        maxs = np.minimum(np.ceil(center + rmax).astype(int) + 1, dims)
-        if (mins >= maxs).any():
-            continue
-        sl = tuple(slice(a, b) for a, b in zip(mins, maxs))
-        rel = [np.arange(a, b) - c for a, b, c in zip(mins, maxs, center)]
-        local = _linear_axes(_rotation_matrix(angles).T, rel)
-        q = sum((x / r) ** 2 for x, r in zip(local, radii))
-        if blobby:
-            noise = rng.standard_normal(q.shape)
-            noise = ndimage.gaussian_filter(noise, sigma=max(rmax / 4.0, 1.0))
-            support = q + noise <= 1.0
-        else:
-            support = q <= 1.0
-        region = support & background[sl]
-        out[sl][region] = label
+    pending = deque()  # (label, box, region future), oldest first
+
+    def paint():
+        label, box, region = pending.popleft()
+        out[box][region.result()] = label
+
+    with _pool(pool) as pool:
+        for k in range(n):
+            center = rng.uniform(0, np.array(dims))
+            radii = rng.uniform(2.0, w / 4.0, size=3)
+            angles = rng.uniform(-180, 180, size=3)
+            blobby = rng.random() < 0.5
+            rmax = float(radii.max())
+            mins = np.maximum(np.floor(center - rmax).astype(int), 0)
+            maxs = np.minimum(np.ceil(center + rmax).astype(int) + 1, dims)
+            if (mins >= maxs).any():
+                continue
+            box = tuple(slice(a, b) for a, b in zip(mins, maxs))
+            noise = rng.standard_normal(tuple(maxs - mins)) if blobby else None
+            pending.append((FIRST_SHAPE_LABEL + k, box,
+                            pool.submit(_shape_region, box, background[box], center, radii,
+                                        angles, noise)))
+            if len(pending) > _SHAPES_AHEAD:
+                paint()
+        while pending:
+            paint()
     return Volume(out, lm.spacing, Kind.LABEL)
 
 
-def _synthesize_raw(lm: Volume, p: SynthesisParams, rng: np.random.Generator):
+def _blur(img: np.ndarray, sigmas, pool: Executor) -> None:
+    """``ndimage.gaussian_filter(img, sigmas, output=img)``, pass by pass.
+
+    Each axis's pass filters along that axis and is split into slabs along
+    another, which hold disjoint lines, so the slabs run on ``pool`` and
+    every voxel equals the single call's.
+    """
+    for axis, sigma in enumerate(sigmas):
+        if sigma > 1e-15:  # the axes gaussian_filter filters
+            across = 1 if axis == 0 else 0
+            parts = (img[(slice(None),) * across + (planes,)]
+                     for planes in vol_ops.slabs(img.shape[across], _SLAB_PLANES))
+            _run_all(pool, lambda part: ndimage.gaussian_filter1d(part, sigma, axis, output=part),
+                     parts)
+
+
+def _synthesize_raw(lm: Volume, p: SynthesisParams, rng: np.random.Generator,
+                    pool: Executor | None = None):
     """Render a gray-scale image from a label map; returns (data, params)."""
     n_labels = int(lm.data.max()) + 1
     lut = rng.random(n_labels).astype(np.float32)
@@ -289,14 +356,18 @@ def _synthesize_raw(lm: Volume, p: SynthesisParams, rng: np.random.Generator):
             img[planes] += noise
 
     blur_sd = float(rng.uniform(0, p.blur_sd_max))
-    if blur_sd > 0:  # one pass per axis, each line buffered: in place is exact
-        ndimage.gaussian_filter(img, sigma=blur_sd / np.array(lm.spacing), output=img)
-
     bias_amp = float(rng.uniform(0, p.bias_amplitude)) if p.bias_amplitude > 0 else 0.0
-    if bias_amp > 0:
-        grid = rng.uniform(-bias_amp, bias_amp, size=(4, 4, 4))
-        for planes in vol_ops.slabs(lm.dims[0], _SLAB_PLANES):
-            img[planes] *= np.exp(upsample_linear(grid, lm.dims, planes)).astype(np.float32)
+    with _pool(pool) as pool:
+        if blur_sd > 0:  # one pass per axis, each line buffered: in place is exact
+            _blur(img, blur_sd / np.array(lm.spacing), pool)
+
+        if bias_amp > 0:
+            grid = rng.uniform(-bias_amp, bias_amp, size=(4, 4, 4))
+
+            def bias_slab(planes):
+                img[planes] *= np.exp(upsample_linear(grid, lm.dims, planes)).astype(np.float32)
+
+            _run_all(pool, bias_slab, vol_ops.slabs(lm.dims[0], _SLAB_PLANES))
 
     factor = int(rng.integers(1, p.downsample_factor_max + 1))
     if factor > 1:
@@ -332,17 +403,22 @@ def make_training_pair(lm: Volume, p: SynthesisParams,
     """Full synthesis chain: center brain, augment, add shapes, render.
 
     The ground truth is the union of brain labels after augmentation; shape
-    labels never enter it.
+    labels never enter it. The augmentation slabs, shape regions, blur and
+    bias run on a thread pool of one worker per usable CPU, made for this
+    call. Every random draw stays in the calling thread, in the order above,
+    the pool's tasks write disjoint voxels and shapes are painted in label
+    order, so the pair's bytes do not depend on the worker count.
     """
     centered = center_brain(lm, p.window)
     transform = _sample_transform(p, rng)
-    augmented = _apply_transform(centered, p, transform, rng)
-    del centered
-    gt = brain_mask(augmented)
-    with_shapes = add_random_shapes(augmented, p.n_shapes, rng)
-    del augmented
-    img, corruption = _synthesize_raw(with_shapes, p, rng)
-    del with_shapes
+    with ThreadPoolExecutor(_workers()) as pool:
+        augmented = _apply_transform(centered, p, transform, rng, pool=pool)
+        del centered
+        gt = brain_mask(augmented)
+        with_shapes = add_random_shapes(augmented, p.n_shapes, rng, pool=pool)
+        del augmented
+        img, corruption = _synthesize_raw(with_shapes, p, rng, pool=pool)
+        del with_shapes
     image = Volume(vol_ops.minmax_rescale(img), lm.spacing, Kind.INTENSITY)
     metadata = {
         "transform": {k: np.asarray(v).tolist() for k, v in transform.items()},

@@ -382,6 +382,16 @@ class TestConfigErrors:
         assert self.extract(tmp_path, phantom_files, cfg) == 1
         self.one_line_error(capsys, f"'{rate}'", "finite")
 
+    @pytest.mark.parametrize("rate", ["fp_blob_rate", "fn_hole_rate"])
+    def test_noise_rate_above_cap(self, tmp_path, phantom_files, capsys, rate):
+        # 2**32 spheres per window would take about 23 hours each
+        assert main(["simulate", "--seeds", "1", "--noise-spec", f'{{"{rate}": 4294967296}}']) == 1
+        self.one_line_error(capsys, f"'{rate}'", "at most 1000")
+        cfg = {"gt": str(phantom_files[1]),
+               "predictor": {"backend": "noisy_oracle", rate: 4294967296}}
+        assert self.extract(tmp_path, phantom_files, cfg) == 1
+        self.one_line_error(capsys, f"'{rate}'", "at most 1000")
+
     @pytest.mark.parametrize("radius", [[6, 2], [-5, -1]])
     def test_noise_radius_out_of_order(self, tmp_path, phantom_files, capsys, radius):
         spec = {"fp_blob_rate": 2, "fp_blob_radius": radius}

@@ -7,7 +7,7 @@ import pytest
 
 from braincascade import predictor
 from braincascade.predictor import (
-    ConstantPredictor, ExternalPredictor, NoiseSpec, NoisyOraclePredictor,
+    MAX_SPHERE_RATE, ConstantPredictor, ExternalPredictor, NoiseSpec, NoisyOraclePredictor,
     OraclePredictor, PredictorError, _squared_distances,
 )
 from braincascade.volume import Kind, Volume, read_box
@@ -160,6 +160,11 @@ class TestNoisyOracle:
         for rate in ("fp_blob_rate", "fn_hole_rate", "per_voxel_fp"):
             for value in (float("nan"), float("inf"), float("-inf")):
                 with pytest.raises(ValueError, match=rate):
+                    NoiseSpec(**{rate: value})
+        for rate in ("fp_blob_rate", "fn_hole_rate"):
+            NoiseSpec(**{rate: MAX_SPHERE_RATE})
+            for value in (MAX_SPHERE_RATE + 0.5, 2.0 ** 32):
+                with pytest.raises(ValueError, match=f"'{rate}' must be at most 1000"):
                     NoiseSpec(**{rate: value})
 
     def test_majority_fp_rate_converges(self):

@@ -1,15 +1,19 @@
 import dataclasses
 import hashlib
 import json
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
+from braincascade import synth
 from braincascade.morphology import connected_components
 from braincascade.synth import (
     FIRST_SHAPE_LABEL, MODEL_PARAMS, MODEL_STEPS, SynthesisParams, _affine_grid,
-    _apply_transform, _rotation_matrix, _sample_transform, _synthesize_raw,
+    _apply_transform, _blur, _rotation_matrix, _sample_transform, _synthesize_raw,
     add_random_shapes, augment_spatial, brain_mask, center_brain,
     make_phantom_label_map, make_training_pair, upsample_linear,
 )
@@ -129,9 +133,13 @@ class TestSeparableReference:
     def test_blur_in_place_equals_new_array(self, sigma):
         img = np.random.default_rng(57).random((37, 40, 29)).astype(np.float32)
         expected = ndimage.gaussian_filter(img, sigma=sigma)
+        pooled = img.copy()
         out = ndimage.gaussian_filter(img, sigma=sigma, output=img)
         assert out is img
         assert img.tobytes() == expected.tobytes()
+        with ThreadPoolExecutor(3) as pool:
+            _blur(pooled, np.broadcast_to(sigma, 3), pool)
+        assert pooled.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("dims,factor", [((32, 32, 32), 2), ((40, 40, 40), 3), ((128,) * 3, 2)])
     def test_zoom_into_image_equals_new_array(self, dims, factor):
@@ -433,3 +441,58 @@ class TestPairDigests:
             "5124010db95e03d75814b1f45d37fa168a6616a5331b2fee151b8f2b9c78b0ef",
             "399308ef8e3a082af8b50557433004c8eb4746394ac3feb297e136d9f2dd9893",
         )
+
+
+class TestWorkerPool:
+    """make_training_pair runs its augmentation slabs, shape regions, blur
+    and bias on a thread pool of ``_workers()`` threads; the pair's bytes
+    must not depend on that count, and the pool must not outlive the call."""
+
+    @pytest.mark.parametrize("p,seed", [
+        (MODEL_PARAMS["A"], 31), (MODEL_PARAMS["B"], 34), (MODEL_PARAMS["C"], 35),
+        (MODEL_PARAMS["D"], 32),
+        # 40 and 33 are not multiples of the slab: the last slab is ragged
+        (SynthesisParams(40, 6, 8.0, 180.0, 0.3, 0.3, 0.2), 35),
+        (SynthesisParams(33, 6, 8.0, 180.0, 0.3, 0.3, 0.2), 36),
+    ], ids=["A", "B", "C", "D", "window40", "window33"])
+    def test_bytes_do_not_depend_on_workers(self, monkeypatch, p, seed):
+        default = TestPairDigests.digests(p, seed)
+        monkeypatch.setattr(synth, "_workers", lambda: 1)
+        assert TestPairDigests.digests(p, seed) == default
+        # more workers than CPUs, switching threads often
+        monkeypatch.setattr(synth, "_workers", lambda: 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert TestPairDigests.digests(p, seed) == default
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_workers_is_the_usable_cpu_count(self):
+        assert synth._workers() >= 1
+        if hasattr(synth.os, "sched_getaffinity"):
+            assert synth._workers() == len(synth.os.sched_getaffinity(0))
+
+    def test_no_thread_outlives_the_call(self, rng):
+        lm = make_phantom_label_map(rng, (64, 64, 64))
+        before = threading.active_count()
+        make_training_pair(lm, MODEL_PARAMS["D"], rng)
+        assert threading.active_count() == before
+
+    def test_task_exception_propagates_and_no_thread_is_left(self, monkeypatch, rng):
+        class Boom(Exception):
+            pass
+
+        raised_in = []
+
+        def boom(*args, **kwargs):
+            raised_in.append(threading.current_thread())
+            raise Boom("map_coordinates")
+
+        lm = make_phantom_label_map(rng, (64, 64, 64))
+        monkeypatch.setattr(ndimage, "map_coordinates", boom)
+        before = threading.active_count()
+        with pytest.raises(Boom, match="map_coordinates"):
+            make_training_pair(lm, MODEL_PARAMS["C"], rng)
+        assert threading.active_count() == before
+        assert raised_in and threading.main_thread() not in raised_in
