@@ -202,6 +202,10 @@ class ExternalPredictor(Predictor):
         self.timeout = float(timeout)
         if not 0 < self.timeout < math.inf:
             raise ValueError(f"{id}: timeout must be finite and positive, got {timeout}")
+        # origin, patch; reused. Made before the child: a window too large to
+        # allocate (MemoryError, or ValueError past numpy's size) leaves none
+        self._request = np.empty(24 + 4 * self.window ** 3, np.uint8)
+        self._patch = self._request[24:].view("<f4").reshape((self.window,) * 3)
         try:
             self._proc = subprocess.Popen(
                 command, stdin=subprocess.PIPE, stdout=subprocess.PIPE
@@ -209,8 +213,6 @@ class ExternalPredictor(Predictor):
         except OSError as e:
             raise PredictorError(f"{id}: cannot spawn {command}: {e}") from e
         os.set_blocking(self._proc.stdin.fileno(), False)  # see _exchange
-        self._request = bytearray(24 + 4 * self.window ** 3)  # origin, patch; reused
-        self._patch = np.frombuffer(self._request, "<f4", offset=24).reshape((self.window,) * 3)
         try:
             self._handshake()
         except Exception:

@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from concurrent.futures import Executor, ThreadPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -31,7 +30,7 @@ FIRST_SHAPE_LABEL = 8
 # Augmentation and rendering build their per-voxel float64 temporaries (the
 # coordinates, the warp and bias fields, the noise) for this many axis-0
 # planes at a time, so no whole-volume float64 array is ever held; a slab is
-# also one task of the pair's thread pool.
+# also one task of its step's thread pool.
 _SLAB_PLANES = 16
 # shapes whose regions may be queued or computing while the next is drawn
 _SHAPES_AHEAD = 4
@@ -45,17 +44,13 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _pool(pool: Executor | None):
-    """A ``with`` context of ``pool``, or else of a thread pool of one worker
-    per usable CPU that lasts as long as the block."""
-    return ThreadPoolExecutor(_workers()) if pool is None else nullcontext(pool)
-
-
-def _run_all(pool: Executor, fn, items) -> None:
-    """Call ``fn`` on every item on ``pool`` and wait for all the calls. The
-    first exception is raised as itself; calls not yet started are dropped."""
-    for _ in pool.map(fn, items):
-        pass
+def _run_all(fn, items) -> None:
+    """Call ``fn`` on every item on a thread pool of one worker per usable CPU,
+    made for this call, and wait for all the calls. The first exception is
+    raised as itself; calls not yet started are dropped."""
+    with ThreadPoolExecutor(_workers()) as pool:
+        for _ in pool.map(fn, items):
+            pass
 
 
 @dataclass(frozen=True)
@@ -80,8 +75,11 @@ class SynthesisParams:
     def __post_init__(self):
         if self.window <= 0:
             raise ValueError("window must be positive")
-        if self.n_shapes < 0:
-            raise ValueError("n_shapes must be >= 0")
+        # shape labels 8..7 + n_shapes fit uint16; at about 0.2 ms a shape, a
+        # count near 2**31 would run for days
+        most = np.iinfo(np.uint16).max - FIRST_SHAPE_LABEL + 1
+        if not 0 <= self.n_shapes <= most:
+            raise ValueError(f"'n_shapes' must be >= 0 and at most {most}, got {self.n_shapes}")
         if self.n_shapes > 0 and self.window < 8:  # shape radii are drawn from [2, window / 4]
             raise ValueError(f"'window' must be >= 8 when 'n_shapes' > 0, got {self.window}")
         for name in ("shift_max", "rot_max", "scale_max", "blur_sd_max",
@@ -224,7 +222,7 @@ def _affine_grid(dims, inv: np.ndarray, center: np.ndarray,
 
 
 def _apply_transform(lm: Volume, p: SynthesisParams, params: dict,
-                     rng: np.random.Generator, pool: Executor | None = None) -> Volume:
+                     rng: np.random.Generator) -> Volume:
     dims = lm.dims
     spacing = np.array(lm.spacing)
     center = (np.array(dims) - 1) / 2.0
@@ -247,8 +245,7 @@ def _apply_transform(lm: Volume, p: SynthesisParams, params: dict,
         ndimage.map_coordinates(lm.data, coords, output=out[planes], order=0,
                                 mode="constant", cval=0)
 
-    with _pool(pool) as pool:
-        _run_all(pool, resample, vol_ops.slabs(dims[0], _SLAB_PLANES))
+    _run_all(resample, vol_ops.slabs(dims[0], _SLAB_PLANES))
     return Volume(out, lm.spacing, Kind.LABEL)
 
 
@@ -276,16 +273,16 @@ def _shape_region(box, background, center, radii, angles, noise) -> np.ndarray:
     return (q <= 1.0) & background
 
 
-def add_random_shapes(lm: Volume, n: int, rng: np.random.Generator,
-                      pool: Executor | None = None) -> Volume:
+def add_random_shapes(lm: Volume, n: int, rng: np.random.Generator) -> Volume:
     """Carve n shape labels (values 8..7+n) out of the background.
 
     Shapes are a 50/50 mix of randomized ellipsoids and thresholded
     smoothed-noise blobs with radii U(2, w/4) voxels; brain labels are
     never touched. The copy keeps the map's dtype unless the last shape
     label does not fit it. Each shape's parameters and noise are drawn in
-    label order; the regions are computed on ``pool`` and painted in label
-    order, so a later shape overwrites an earlier one where they overlap.
+    label order; the regions are computed on a thread pool made for this
+    call and painted in label order, so a later shape overwrites an earlier
+    one where they overlap.
     """
     dims = lm.dims
     w = min(dims)
@@ -301,7 +298,7 @@ def add_random_shapes(lm: Volume, n: int, rng: np.random.Generator,
         label, box, region = pending.popleft()
         out[box][region.result()] = label
 
-    with _pool(pool) as pool:
+    with ThreadPoolExecutor(_workers()) as pool:
         for k in range(n):
             center = rng.uniform(0, np.array(dims))
             radii = rng.uniform(2.0, w / 4.0, size=3)
@@ -324,24 +321,22 @@ def add_random_shapes(lm: Volume, n: int, rng: np.random.Generator,
     return Volume(out, lm.spacing, Kind.LABEL)
 
 
-def _blur(img: np.ndarray, sigmas, pool: Executor) -> None:
+def _blur(img: np.ndarray, sigmas) -> None:
     """``ndimage.gaussian_filter(img, sigmas, output=img)``, pass by pass.
 
     Each axis's pass filters along that axis and is split into slabs along
-    another, which hold disjoint lines, so the slabs run on ``pool`` and
-    every voxel equals the single call's.
+    another, which hold disjoint lines, so the slabs run on a thread pool
+    and every voxel equals the single call's.
     """
     for axis, sigma in enumerate(sigmas):
         if sigma > 1e-15:  # the axes gaussian_filter filters
             across = 1 if axis == 0 else 0
             parts = (img[(slice(None),) * across + (planes,)]
                      for planes in vol_ops.slabs(img.shape[across], _SLAB_PLANES))
-            _run_all(pool, lambda part: ndimage.gaussian_filter1d(part, sigma, axis, output=part),
-                     parts)
+            _run_all(lambda part: ndimage.gaussian_filter1d(part, sigma, axis, output=part), parts)
 
 
-def _synthesize_raw(lm: Volume, p: SynthesisParams, rng: np.random.Generator,
-                    pool: Executor | None = None):
+def _synthesize_raw(lm: Volume, p: SynthesisParams, rng: np.random.Generator):
     """Render a gray-scale image from a label map; returns (data, params)."""
     n_labels = int(lm.data.max()) + 1
     lut = rng.random(n_labels).astype(np.float32)
@@ -357,17 +352,16 @@ def _synthesize_raw(lm: Volume, p: SynthesisParams, rng: np.random.Generator,
 
     blur_sd = float(rng.uniform(0, p.blur_sd_max))
     bias_amp = float(rng.uniform(0, p.bias_amplitude)) if p.bias_amplitude > 0 else 0.0
-    with _pool(pool) as pool:
-        if blur_sd > 0:  # one pass per axis, each line buffered: in place is exact
-            _blur(img, blur_sd / np.array(lm.spacing), pool)
+    if blur_sd > 0:  # one pass per axis, each line buffered: in place is exact
+        _blur(img, blur_sd / np.array(lm.spacing))
 
-        if bias_amp > 0:
-            grid = rng.uniform(-bias_amp, bias_amp, size=(4, 4, 4))
+    if bias_amp > 0:
+        grid = rng.uniform(-bias_amp, bias_amp, size=(4, 4, 4))
 
-            def bias_slab(planes):
-                img[planes] *= np.exp(upsample_linear(grid, lm.dims, planes)).astype(np.float32)
+        def bias_slab(planes):
+            img[planes] *= np.exp(upsample_linear(grid, lm.dims, planes)).astype(np.float32)
 
-            _run_all(pool, bias_slab, vol_ops.slabs(lm.dims[0], _SLAB_PLANES))
+        _run_all(bias_slab, vol_ops.slabs(lm.dims[0], _SLAB_PLANES))
 
     factor = int(rng.integers(1, p.downsample_factor_max + 1))
     if factor > 1:
@@ -403,22 +397,22 @@ def make_training_pair(lm: Volume, p: SynthesisParams,
     """Full synthesis chain: center brain, augment, add shapes, render.
 
     The ground truth is the union of brain labels after augmentation; shape
-    labels never enter it. The augmentation slabs, shape regions, blur and
-    bias run on a thread pool of one worker per usable CPU, made for this
-    call. Every random draw stays in the calling thread, in the order above,
-    the pool's tasks write disjoint voxels and shapes are painted in label
-    order, so the pair's bytes do not depend on the worker count.
+    labels never enter it. The augmentation slabs, the shape regions, each
+    blur pass and the bias slabs run on thread pools of one worker per usable
+    CPU, each made for its step and closed when the step ends. Every random
+    draw stays in the calling thread, in the order above, the pools' tasks
+    write disjoint voxels and shapes are painted in label order, so the
+    pair's bytes do not depend on the worker count.
     """
     centered = center_brain(lm, p.window)
     transform = _sample_transform(p, rng)
-    with ThreadPoolExecutor(_workers()) as pool:
-        augmented = _apply_transform(centered, p, transform, rng, pool=pool)
-        del centered
-        gt = brain_mask(augmented)
-        with_shapes = add_random_shapes(augmented, p.n_shapes, rng, pool=pool)
-        del augmented
-        img, corruption = _synthesize_raw(with_shapes, p, rng, pool=pool)
-        del with_shapes
+    augmented = _apply_transform(centered, p, transform, rng)
+    del centered
+    gt = brain_mask(augmented)
+    with_shapes = add_random_shapes(augmented, p.n_shapes, rng)
+    del augmented
+    img, corruption = _synthesize_raw(with_shapes, p, rng)
+    del with_shapes
     image = Volume(vol_ops.minmax_rescale(img), lm.spacing, Kind.INTENSITY)
     metadata = {
         "transform": {k: np.asarray(v).tolist() for k, v in transform.items()},

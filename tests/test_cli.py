@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import struct
+import subprocess
 import sys
 
 import numpy as np
@@ -188,6 +189,43 @@ class TestExtract:
                      "--out", str(tmp_path / "mask.nii"), "--side", "96"])
         assert code == 1
         assert sorted(name for name, _ in closed) == ["a", "b"]
+
+    # 2**20: a 4 EiB request buffer cannot be allocated; 2**21: its size
+    # overflows a C size
+    @pytest.mark.parametrize("window", [2 ** 20, 2 ** 21])
+    def test_external_window_too_large_to_allocate(self, tmp_path, phantom_files, capsys,
+                                                   monkeypatch, window):
+        img_path, _ = phantom_files
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({
+            "predictor": {"backend": "external", "timeout": 10.0,
+                          "command": [sys.executable, SERVER, "constant", "0.9"]},
+            "bfs_stages": [{"name": "a", "window": window, "step": window}],
+            "dfs_stages": [{"name": "b", "window": 16, "step": 16}],
+        }))
+        spawned = []
+        real_popen = subprocess.Popen
+
+        def popen(*args, **kwargs):
+            spawned.append(real_popen(*args, **kwargs))
+            return spawned[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", popen)
+        try:
+            code = main(["extract", str(img_path), "--config", str(cfg),
+                         "--out", str(tmp_path / "mask.nii"), "--side", "96"])
+            alive = [proc.pid for proc in spawned if proc.poll() is None]
+        finally:
+            for proc in spawned:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+                proc.stdin.close()
+                proc.stdout.close()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert alive == []
 
     def test_missing_config(self, tmp_path, phantom_files, capsys, monkeypatch):
         monkeypatch.delenv("BRAINCASCADE_CONFIG", raising=False)
@@ -419,6 +457,12 @@ class TestConfigErrors:
     def test_synth_window_too_small(self, tmp_path, capsys, change, names):
         assert self.synth_params(tmp_path, **change) == 1
         self.one_line_error(capsys, *names)
+        assert not (tmp_path / "out").exists()
+
+    def test_synth_n_shapes_above_cap(self, tmp_path, capsys):
+        # one more shape than uint16 labels hold: about 12 s of shapes at window 8
+        assert self.synth_params(tmp_path, window=8, n_shapes=65529) == 1
+        self.one_line_error(capsys, "'n_shapes'", "at most 65528")
         assert not (tmp_path / "out").exists()
 
     def test_synth_scale_max_below_one(self, tmp_path, capsys):

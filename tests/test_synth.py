@@ -3,7 +3,6 @@ import hashlib
 import json
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -137,8 +136,7 @@ class TestSeparableReference:
         out = ndimage.gaussian_filter(img, sigma=sigma, output=img)
         assert out is img
         assert img.tobytes() == expected.tobytes()
-        with ThreadPoolExecutor(3) as pool:
-            _blur(pooled, np.broadcast_to(sigma, 3), pool)
+        _blur(pooled, np.broadcast_to(sigma, 3))
         assert pooled.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("dims,factor", [((32, 32, 32), 2), ((40, 40, 40), 3), ((128,) * 3, 2)])
@@ -360,6 +358,14 @@ class TestParamChecks:
         with pytest.raises(ValueError, match="'window' must be >= 8 when 'n_shapes' > 0"):
             SynthesisParams(7, 1, 0, 0, 0, 0, 0)
 
+    def test_shape_labels_fit_uint16(self):
+        # the last shape label 7 + n_shapes is at most 65535; 2**31 - 1 shapes
+        # would take about 109 h at 0.18 ms each
+        SynthesisParams(8, 65528, 0, 0, 0, 0, 0)
+        for n in (-1, 65529, 2 ** 31 - 1):
+            with pytest.raises(ValueError, match=f"'n_shapes' must be >= 0 and at most 65528, got {n}"):
+                SynthesisParams(8, n, 0, 0, 0, 0, 0)
+
     @pytest.mark.parametrize("name", ["shift_max", "rot_max", "scale_max", "blur_sd_max",
                                       "noise_sd_max", "warp_max", "bias_amplitude"])
     @pytest.mark.parametrize("value", [-float("inf"), -0.5])  # NaN and inf: test_cli
@@ -444,9 +450,10 @@ class TestPairDigests:
 
 
 class TestWorkerPool:
-    """make_training_pair runs its augmentation slabs, shape regions, blur
-    and bias on a thread pool of ``_workers()`` threads; the pair's bytes
-    must not depend on that count, and the pool must not outlive the call."""
+    """make_training_pair's augmentation slabs, shape regions, blur and bias
+    run on thread pools of ``_workers()`` threads, each made by its step; the
+    pair's bytes must not depend on that count, and no pool may outlive its
+    step."""
 
     @pytest.mark.parametrize("p,seed", [
         (MODEL_PARAMS["A"], 31), (MODEL_PARAMS["B"], 34), (MODEL_PARAMS["C"], 35),
@@ -494,5 +501,63 @@ class TestWorkerPool:
         before = threading.active_count()
         with pytest.raises(Boom, match="map_coordinates"):
             make_training_pair(lm, MODEL_PARAMS["C"], rng)
+        assert threading.active_count() == before
+        assert raised_in and threading.main_thread() not in raised_in
+
+    STEPS = ("_apply_transform", "add_random_shapes", "_synthesize_raw")
+
+    @staticmethod
+    def run_step(name, rng):
+        """Call the synthesis step ``name`` on its own, as make_training_pair
+        calls it for model C."""
+        lm = make_phantom_label_map(rng, (64, 64, 64))
+        p = MODEL_PARAMS["C"]
+        if name == "_apply_transform":
+            return _apply_transform(lm, p, _sample_transform(p, rng), rng)
+        if name == "add_random_shapes":
+            return add_random_shapes(lm, p.n_shapes, rng)
+        return _synthesize_raw(lm, p, rng)
+
+    @pytest.mark.parametrize("name", STEPS)
+    def test_step_leaves_no_thread(self, rng, name):
+        before = threading.active_count()
+        self.run_step(name, rng)
+        assert threading.active_count() == before
+
+    def test_no_pool_thread_lives_between_steps(self, monkeypatch, rng):
+        seen = []
+        for name in self.STEPS:
+            def counted(*args, _step=getattr(synth, name), **kwargs):
+                seen.append(threading.active_count())
+                try:
+                    return _step(*args, **kwargs)
+                finally:
+                    seen.append(threading.active_count())
+            monkeypatch.setattr(synth, name, counted)
+        lm = make_phantom_label_map(rng, (64, 64, 64))
+        before = threading.active_count()
+        make_training_pair(lm, MODEL_PARAMS["C"], rng)
+        assert seen == [before] * 6
+
+    @pytest.mark.parametrize("name,module,task", [
+        ("_apply_transform", ndimage, "map_coordinates"),  # the slabs
+        ("add_random_shapes", synth, "_shape_region"),
+        ("_synthesize_raw", ndimage, "gaussian_filter1d"),  # the blur
+        ("_synthesize_raw", synth, "upsample_linear"),  # the bias
+    ])
+    def test_step_task_exception_propagates(self, monkeypatch, rng, name, module, task):
+        class Boom(Exception):
+            pass
+
+        raised_in = []
+
+        def boom(*args, **kwargs):
+            raised_in.append(threading.current_thread())
+            raise Boom(task)
+
+        monkeypatch.setattr(module, task, boom)
+        before = threading.active_count()
+        with pytest.raises(Boom, match=task):
+            self.run_step(name, rng)
         assert threading.active_count() == before
         assert raised_in and threading.main_thread() not in raised_in
