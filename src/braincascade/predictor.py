@@ -204,7 +204,12 @@ class ExternalPredictor(Predictor):
             raise ValueError(f"{id}: timeout must be finite and positive, got {timeout}")
         # origin, patch; reused. Made before the child: a window too large to
         # allocate (MemoryError, or ValueError past numpy's size) leaves none
-        self._request = np.empty(24 + 4 * self.window ** 3, np.uint8)
+        size = 24 + 4 * self.window ** 3
+        try:
+            self._request = np.empty(size, np.uint8)
+        except (MemoryError, ValueError) as e:
+            raise PredictorError(f"{id}: window {self.window}: cannot allocate "
+                                 f"its {size}-byte request buffer") from e
         self._patch = self._request[24:].view("<f4").reshape((self.window,) * 3)
         try:
             self._proc = subprocess.Popen(

@@ -91,7 +91,7 @@ class SynthesisParams:
             raise ValueError(f"'scale_max' must be < 1, got {self.scale_max}")
         if self.downsample_factor_max < 1:
             raise ValueError("downsample_factor_max must be >= 1")
-        # zoom keeps round(window / factor) voxels per axis, 0 from 2 * window on
+        # downsampling keeps round(window / factor) voxels per axis, 0 from 2 * window on
         if not self.downsample_factor_max < 2 * self.window:
             raise ValueError(f"'downsample_factor_max' must be < 2 * window = {2 * self.window}, "
                              f"got {self.downsample_factor_max}")
@@ -182,20 +182,50 @@ def _sample_transform(p: SynthesisParams, rng: np.random.Generator) -> dict:
     }
 
 
-def upsample_linear(grid: np.ndarray, dims, planes: slice = slice(None)) -> np.ndarray:
-    """Corner-aligned linear upsampling of a control grid to ``dims``.
+def _corner_positions(n: int, m: int) -> np.ndarray:
+    """Positions that the ``m`` output indices of an axis sample on an input
+    axis of ``n`` voxels: ``k * (n - 1) / (m - 1)``, the corner-aligned mapping
+    of scipy's linear ``zoom`` (``order=1``)."""
+    return np.arange(m) * ((n - 1) / (m - 1) if m > 1 else 0.0)
 
-    Output index k of an axis samples ``k * (n_in - 1) / (n_out - 1)``, the
-    mapping of ``ndimage.zoom(order=1)``, one axis at a time. ``planes``, a
-    slice of axis 0, computes only those output planes, each equal to its
-    plane of the whole field.
+
+def upsample_linear(grid: np.ndarray, dims, planes: slice = slice(None),
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Corner-aligned linear resampling of ``grid`` to ``dims``: the warp and
+    bias fields upsample their control grids with it.
+
+    Output index k of an axis samples ``_corner_positions``, one axis at a
+    time, indices clamped to the edge. ``planes``, a slice of axis 0, computes
+    only those output planes, each equal to its plane of the whole field.
+    The result is float64, or rounded once into ``out`` if given.
     """
-    out = grid
+    last = grid.ndim - 1
     for axis, (d, n) in enumerate(zip(grid.shape, dims)):
-        step = (d - 1) / (n - 1) if n > 1 else 0.0
-        c = np.arange(n) * step
-        out = vol_ops.interp_axis(out, c[planes] if axis == 0 else c, axis)
-    return out
+        c = _corner_positions(d, n)
+        grid = vol_ops.interp_axis(grid, c[planes] if axis == 0 else c, axis,
+                                   out if axis == last else None)
+    return grid
+
+
+def _zoom_linear(src: np.ndarray, dst: np.ndarray) -> None:
+    """What scipy's ``zoom(src, zoom, order=1, output=dst)`` writes for
+    ``dst``'s shape, within 1 float32 ulp.
+
+    It is ``upsample_linear`` onto ``dst``'s shape, in slabs of axis-0 planes
+    on the thread pool, with zoom's ``mode="constant"`` edge: an output plane
+    whose position passes the last input index (float64 rounding can put the
+    last plane there) is 0.
+    """
+    past = [_corner_positions(n, m) > n - 1 for n, m in zip(src.shape, dst.shape)]
+
+    def resample(planes):
+        part = dst[planes]
+        upsample_linear(src, dst.shape, planes, part)
+        part[past[0][planes]] = 0
+        part[:, past[1]] = 0
+        part[:, :, past[2]] = 0
+
+    _run_all(resample, vol_ops.slabs(dst.shape[0], _SLAB_PLANES))
 
 
 def _linear_axes(mat: np.ndarray, rel, out=None):
@@ -364,9 +394,10 @@ def _synthesize_raw(lm: Volume, p: SynthesisParams, rng: np.random.Generator):
         _run_all(bias_slab, vol_ops.slabs(lm.dims[0], _SLAB_PLANES))
 
     factor = int(rng.integers(1, p.downsample_factor_max + 1))
-    if factor > 1:
-        small = ndimage.zoom(img, 1.0 / factor, order=1)
-        ndimage.zoom(small, np.array(lm.dims) / np.array(small.shape), order=1, output=img)
+    if factor > 1:  # onto zoom(img, 1 / factor)'s grid and back
+        small = np.empty([round(n * (1 / factor)) for n in img.shape], np.float32)
+        _zoom_linear(img, small)
+        _zoom_linear(small, img)
 
     params = {
         "noise_sd": noise_sd,
@@ -398,11 +429,11 @@ def make_training_pair(lm: Volume, p: SynthesisParams,
 
     The ground truth is the union of brain labels after augmentation; shape
     labels never enter it. The augmentation slabs, the shape regions, each
-    blur pass and the bias slabs run on thread pools of one worker per usable
-    CPU, each made for its step and closed when the step ends. Every random
-    draw stays in the calling thread, in the order above, the pools' tasks
-    write disjoint voxels and shapes are painted in label order, so the
-    pair's bytes do not depend on the worker count.
+    blur pass, the bias slabs and each downsampling pass's slabs run on thread
+    pools of one worker per usable CPU, each made for its step and closed when
+    the step ends. Every random draw stays in the calling thread, in the order
+    above, the pools' tasks write disjoint voxels and shapes are painted in
+    label order, so the pair's bytes do not depend on the worker count.
     """
     centered = center_brain(lm, p.window)
     transform = _sample_transform(p, rng)

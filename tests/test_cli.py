@@ -224,7 +224,8 @@ class TestExtract:
                 proc.stdout.close()
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == (f"error: a: window {window}: cannot allocate its "
+                       f"{24 + 4 * window ** 3}-byte request buffer\n")
         assert alive == []
 
     def test_missing_config(self, tmp_path, phantom_files, capsys, monkeypatch):

@@ -12,7 +12,8 @@ from braincascade import synth
 from braincascade.morphology import connected_components
 from braincascade.synth import (
     FIRST_SHAPE_LABEL, MODEL_PARAMS, MODEL_STEPS, SynthesisParams, _affine_grid,
-    _apply_transform, _blur, _rotation_matrix, _sample_transform, _synthesize_raw,
+    _apply_transform, _blur, _corner_positions, _rotation_matrix, _sample_transform,
+    _synthesize_raw, _zoom_linear,
     add_random_shapes, augment_spatial, brain_mask, center_brain,
     make_phantom_label_map, make_training_pair, upsample_linear,
 )
@@ -126,7 +127,8 @@ class TestSeparableReference:
     """Each bounded-memory path against the whole-grid code it replaced: the
     broadcast affine grid, the separable field upsampling, the boxed phantom
     ellipsoids, the slabbed augmentation, the integer centroid, and the
-    render's blur and upsampling zoom written into the image they read."""
+    render's blur written into the image it reads; and the render's
+    downsampling passes against the two ``ndimage.zoom`` calls they replaced."""
 
     @pytest.mark.parametrize("sigma", [0.05, 0.3, 0.6, 1.7, (0.4, 1.1, 2.5), (0.0, 0.7, 0.2)])
     def test_blur_in_place_equals_new_array(self, sigma):
@@ -139,14 +141,28 @@ class TestSeparableReference:
         _blur(pooled, np.broadcast_to(sigma, 3))
         assert pooled.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("dims,factor", [((32, 32, 32), 2), ((40, 40, 40), 3), ((128,) * 3, 2)])
-    def test_zoom_into_image_equals_new_array(self, dims, factor):
-        img = np.random.default_rng(58).random(dims).astype(np.float32)
+    # factor 2 at 32, 28 and 48 puts the small grid's last plane on each axis
+    # past the edge, so the rule stays covered
+    @pytest.mark.parametrize("size,factor", [
+        (32, 2), (28, 2), (48, 2), (33, 3), (40, 2), (64, 3), (128, 2), (47, 5), (8, 15),
+    ])
+    def test_downsample_matches_zoom(self, size, factor):
+        img = np.random.default_rng(size * factor).random((size,) * 3).astype(np.float32)
         small = ndimage.zoom(img, 1.0 / factor, order=1)
-        up = np.array(dims) / np.array(small.shape)
-        expected = ndimage.zoom(small, up, order=1)
-        ndimage.zoom(small, up, order=1, output=img)
-        assert img.tobytes() == expected.tobytes()
+        expected = ndimage.zoom(small, np.array(img.shape) / np.array(small.shape), order=1)
+        down = np.empty_like(small)
+        _zoom_linear(img, down)
+        up = np.empty_like(img)
+        _zoom_linear(down, up)
+        past = 0
+        for src, out, ref in ((img, down, small), (down, up, expected)):
+            np.testing.assert_array_max_ulp(out, ref, maxulp=1)
+            for axis, (n, m) in enumerate(zip(src.shape, out.shape)):
+                planes = np.nonzero(_corner_positions(n, m) > n - 1)[0]
+                past += len(planes)
+                # zoom's mode="constant" zeroes them: exact zeros on both sides
+                assert not out.take(planes, axis).any() and not ref.take(planes, axis).any()
+        assert past == (3 if (size, factor) in ((32, 2), (28, 2), (48, 2)) else 0)
 
     @pytest.mark.parametrize("seed,dims", [
         (50, (32, 32, 32)), (51, (32, 77, 45)), (52, (101, 33, 64)), (53, (63, 128, 99)),
