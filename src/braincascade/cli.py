@@ -62,7 +62,7 @@ def cmd_extract(args) -> int:
     if config_path is None:
         return _fail(f"no config given (use --config or set ${DEFAULT_CONFIG_ENV})")
     cfg_dict = cascade.check_config_keys(_load_json(config_path))
-    trace_path = args.trace or (os.path.splitext(args.out)[0] + "_trace.json")
+    trace_path = args.trace or (os.path.splitext(args.out.removesuffix(".gz"))[0] + "_trace.json")
     for path in (args.out, trace_path):  # checked before the cascade, not after it
         if not os.path.isdir(os.path.dirname(path) or "."):
             return _fail(f"cannot write {path}: directory not found")

@@ -1,6 +1,6 @@
 """Minimal NIfTI-1 reader and writer.
 
-Supports single-file little-endian .nii (read also .nii.gz), 3D only (a 4D
+Supports single-file little-endian .nii and .nii.gz, 3D only (a 4D
 file with one time point reads as 3D), no extensions, datatypes uint8 /
 int16 / float32. Written headers are bit-exact per the NIfTI-1 layout:
 348-byte header, 4 padding bytes, vox_offset 352.
@@ -133,7 +133,9 @@ def _chunks(f, nbytes):
 
 
 def write_nifti(vol: Volume, path, datatype: str | None = None) -> None:
-    """Write a volume as an uncompressed single-file NIfTI-1 .nii.
+    """Write a volume as a single-file NIfTI-1 .nii, gzipped if ``path``
+    ends in ``.gz``, with no name and a zero mtime in the gzip header, so the
+    same volume gives the same bytes.
 
     Default datatype: uint8 for masks and labels, float32 otherwise. Values
     not representable in the requested datatype are rejected, and so are
@@ -172,7 +174,9 @@ def write_nifti(vol: Volume, path, datatype: str | None = None) -> None:
     hdr[344:348] = MAGIC
 
     step = max(_SLAB_VOXELS // (vol.dims[0] * vol.dims[1]), 1)  # axis-2 planes per slab
-    with open(path, "wb") as f:
+    with open(path, "wb") as raw, (
+            gzip.GzipFile("", "wb", fileobj=raw, mtime=0) if str(path).endswith(".gz")
+            else raw) as f:
         f.write(bytes(hdr))
         f.write(b"\x00\x00\x00\x00")  # extension flag: none
         for planes in slabs(vol.dims[2], step):  # each one run of the file's data

@@ -208,24 +208,13 @@ def upsample_linear(grid: np.ndarray, dims, planes: slice = slice(None),
 
 
 def _zoom_linear(src: np.ndarray, dst: np.ndarray) -> None:
-    """What scipy's ``zoom(src, zoom, order=1, output=dst)`` writes for
-    ``dst``'s shape, within 1 float32 ulp.
-
-    It is ``upsample_linear`` onto ``dst``'s shape, in slabs of axis-0 planes
-    on the thread pool, with zoom's ``mode="constant"`` edge: an output plane
-    whose position passes the last input index (float64 rounding can put the
-    last plane there) is 0.
-    """
-    past = [_corner_positions(n, m) > n - 1 for n, m in zip(src.shape, dst.shape)]
-
-    def resample(planes):
-        part = dst[planes]
-        upsample_linear(src, dst.shape, planes, part)
-        part[past[0][planes]] = 0
-        part[:, past[1]] = 0
-        part[:, :, past[2]] = 0
-
-    _run_all(resample, vol_ops.slabs(dst.shape[0], _SLAB_PLANES))
+    """What scipy's ``zoom(src, zoom, order=1, mode="nearest", output=dst)``
+    writes for ``dst``'s shape, within 1 float32 ulp: ``upsample_linear``
+    onto ``dst``'s shape, in slabs of axis-0 planes on the thread pool. An
+    output plane whose position float64 rounding puts past the last input
+    index reads that index, as at the warp and bias fields' edges."""
+    _run_all(lambda planes: upsample_linear(src, dst.shape, planes, dst[planes]),
+             vol_ops.slabs(dst.shape[0], _SLAB_PLANES))
 
 
 def _linear_axes(mat: np.ndarray, rel, out=None):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-# unused: bench/tracing.py patches this name; it goes with ROADMAP item 1
+# unused: bench/tracing.py patches this name; ROADMAP item 3 deletes it
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
@@ -43,9 +43,10 @@ def plan_windows(region: BoundingBox, w: int, s: int) -> WindowPlan:
     is not a multiple of the step, a final window snapped to the far edge is
     added so the region is fully covered. Regions smaller than the window get
     a single origin at the region minimum (window clipped at extraction).
+    A step larger than the window would leave gaps, so it is rejected.
     """
-    if w < 1 or s < 1:
-        raise ValueError("window and step must be >= 1")
+    if not 1 <= s <= w:
+        raise ValueError(f"need 1 <= step <= window, got window {w} and step {s}")
     per_axis = [
         _axis_origins(lo, hi, w, s) for lo, hi in zip(region.mins, region.maxs)
     ]

@@ -75,6 +75,20 @@ class TestExtract:
         report = json.loads(capsys.readouterr().out)
         assert report == dataclasses.asdict(metrics.overlap_report(mask, gt))
 
+    def test_gz_out_is_a_gzip_of_the_nii_out(self, tmp_path, phantom_files):
+        img_path, gt_path = phantom_files
+        cfg = oracle_config(tmp_path, gt_path)
+        for out in ("nii/mask.nii", "gz/mask.nii.gz"):
+            (tmp_path / out).parent.mkdir()
+            assert main(["extract", str(img_path), "--config", str(cfg),
+                         "--out", str(tmp_path / out), "--side", "96"]) == 0
+        nii, gz = tmp_path / "nii" / "mask.nii", tmp_path / "gz" / "mask.nii.gz"
+        with gzip.open(gz) as f:
+            assert f.read() == nii.read_bytes()
+        np.testing.assert_array_equal(io_nifti.read_nifti(gz, kind=Kind.MASK).data,
+                                      io_nifti.read_nifti(nii, kind=Kind.MASK).data)
+        assert sorted(p.name for p in gz.parent.iterdir()) == ["mask.nii.gz", "mask_trace.json"]
+
     def test_threads_flag_exits_1_naming_it(self, tmp_path, phantom_files, capsys):
         img_path, gt_path = phantom_files
         out = tmp_path / "mask.nii"
@@ -598,9 +612,11 @@ class TestSynth:
         assert not (tmp_path / "out").exists()
 
     # digests recorded before the phantom became uint8 and before --labelmap
-    # stopped widening its map to int32
+    # stopped widening its map to int32; uint8's second pair draws factor 2,
+    # and its digest was re-recorded when the downsample's far planes (32 -> 16)
+    # began to clamp to the edge instead of reading 0
     @pytest.mark.parametrize("datatype,digest", [
-        ("uint8", "d841f95d16274933b2639834e9d09ccb8550aafdb8341813e8825527efe770e3"),
+        ("uint8", "f741406e203e3aee61bf518ea424cd122c4f462e07f57faeeb0af4339f1733ca"),
         ("int16", "2c295d8b1fc7f3aafb3ba23eb6a0fcb51144f69a34a6fecd17c0a0cec5dc8b5a"),
     ])
     def test_labelmap_file_digest(self, tmp_path, datatype, digest):
@@ -845,6 +861,13 @@ class TestPlan:
     def test_bad_dims(self, capsys):
         assert main(["plan", "--dims", "10,20",
                      "--window", "8", "--step", "4"]) == 1
+
+    def test_step_larger_than_window(self, capsys):
+        # steps of 10 would leave voxels 4-9 and 14-15 in no window
+        assert main(["plan", "--dims", "20,4,4", "--window", "4", "--step", "10"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: need 1 <= step <= window, got window 4 and step 10\n"
 
 
 class TestUsageErrors:

@@ -338,6 +338,16 @@ class TestWrite:
             tracemalloc.stop()
         assert peak <= 0.1 * vol.data.nbytes
 
+    def test_gz_path_writes_the_same_gzip_bytes_every_time(self, tmp_path, rng, monkeypatch):
+        vol = Volume(rng.random((7, 5, 9)).astype(np.float32), (1.5, 2.0, 1.0))
+        write_nifti(vol, tmp_path / "vol.nii")
+        for name, now in (("a.nii.gz", 1e9), ("b.nii.gz", 2e9)):  # no mtime, no name
+            monkeypatch.setattr(gzip.time, "time", lambda: now)
+            write_nifti(vol, tmp_path / name)
+        packed = (tmp_path / "a.nii.gz").read_bytes()
+        assert packed == (tmp_path / "b.nii.gz").read_bytes()
+        assert gzip.decompress(packed) == (tmp_path / "vol.nii").read_bytes()
+
     def test_mask_file_size(self, tmp_path):
         vol = mask(np.zeros((192, 192, 192)))
         path = tmp_path / "mask.nii"

@@ -12,7 +12,7 @@ from braincascade import synth
 from braincascade.morphology import connected_components
 from braincascade.synth import (
     FIRST_SHAPE_LABEL, MODEL_PARAMS, MODEL_STEPS, SynthesisParams, _affine_grid,
-    _apply_transform, _blur, _corner_positions, _rotation_matrix, _sample_transform,
+    _apply_transform, _blur, _rotation_matrix, _sample_transform,
     _synthesize_raw, _zoom_linear,
     add_random_shapes, augment_spatial, brain_mask, center_brain,
     make_phantom_label_map, make_training_pair, upsample_linear,
@@ -128,7 +128,7 @@ class TestSeparableReference:
     broadcast affine grid, the separable field upsampling, the boxed phantom
     ellipsoids, the slabbed augmentation, the integer centroid, and the
     render's blur written into the image it reads; and the render's
-    downsampling passes against the two ``ndimage.zoom`` calls they replaced."""
+    downsampling passes against ``ndimage.zoom`` with the same edge clamp."""
 
     @pytest.mark.parametrize("sigma", [0.05, 0.3, 0.6, 1.7, (0.4, 1.1, 2.5), (0.0, 0.7, 0.2)])
     def test_blur_in_place_equals_new_array(self, sigma):
@@ -142,27 +142,30 @@ class TestSeparableReference:
         assert pooled.tobytes() == expected.tobytes()
 
     # factor 2 at 32, 28 and 48 puts the small grid's last plane on each axis
-    # past the edge, so the rule stays covered
+    # past the edge, so the clamp there stays covered
     @pytest.mark.parametrize("size,factor", [
         (32, 2), (28, 2), (48, 2), (33, 3), (40, 2), (64, 3), (128, 2), (47, 5), (8, 15),
     ])
     def test_downsample_matches_zoom(self, size, factor):
         img = np.random.default_rng(size * factor).random((size,) * 3).astype(np.float32)
-        small = ndimage.zoom(img, 1.0 / factor, order=1)
-        expected = ndimage.zoom(small, np.array(img.shape) / np.array(small.shape), order=1)
+        small = ndimage.zoom(img, 1.0 / factor, order=1, mode="nearest")
+        expected = ndimage.zoom(small, np.array(img.shape) / np.array(small.shape), order=1,
+                                mode="nearest")
         down = np.empty_like(small)
         _zoom_linear(img, down)
         up = np.empty_like(img)
         _zoom_linear(down, up)
-        past = 0
-        for src, out, ref in ((img, down, small), (down, up, expected)):
-            np.testing.assert_array_max_ulp(out, ref, maxulp=1)
-            for axis, (n, m) in enumerate(zip(src.shape, out.shape)):
-                planes = np.nonzero(_corner_positions(n, m) > n - 1)[0]
-                past += len(planes)
-                # zoom's mode="constant" zeroes them: exact zeros on both sides
-                assert not out.take(planes, axis).any() and not ref.take(planes, axis).any()
-        assert past == (3 if (size, factor) in ((32, 2), (28, 2), (48, 2)) else 0)
+        np.testing.assert_array_max_ulp(down, small, maxulp=1)
+        np.testing.assert_array_max_ulp(up, expected, maxulp=1)
+
+    # 32 -> 16 puts the small grid's last plane on each axis at 15 * 31/15,
+    # which float64 rounds past 31: it must read plane 31, not 0
+    def test_downsample_keeps_a_constant(self):
+        img = np.full((32,) * 3, 0.7, np.float32)
+        small = np.empty((16,) * 3, np.float32)
+        _zoom_linear(img, small)
+        _zoom_linear(small, img)
+        assert (small == np.float32(0.7)).all() and (img == np.float32(0.7)).all()
 
     @pytest.mark.parametrize("seed,dims", [
         (50, (32, 32, 32)), (51, (32, 77, 45)), (52, (101, 33, 64)), (53, (63, 128, 99)),

@@ -69,6 +69,12 @@ class TestPlanWindows:
         with pytest.raises(ValueError):
             plan_windows(BoundingBox((0, 0, 0), (8, 8, 8)), 0, 1)
 
+    # a step past the window skips the voxels between windows
+    @pytest.mark.parametrize("w,s", [(4, 5), (4, 10), (8, 0)])
+    def test_step_outside_one_to_window(self, w, s):
+        with pytest.raises(ValueError, match=rf"need 1 <= step <= window, got window {w} and step {s}"):
+            plan_windows(BoundingBox((0, 0, 0), (20, 4, 4)), w, s)
+
 
 class TestCoverage:
     def test_exact_tiling(self):
