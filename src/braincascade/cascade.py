@@ -5,9 +5,9 @@ Localization scans the whole conformed volume with a coarse and a fine
 model, unions their supra-threshold probabilities, and fits a bounding box
 to the largest connected component. Refinement then runs progressively
 smaller-window sliding passes inside the shrinking region; each pass is
-thresholded and re-boxed. The final mask is the voxel-wise majority vote of
-the stage masks, taken inside the first refinement region (every stage mask
-is zero outside it) and zero-padded to full size once.
+thresholded and re-boxed; an empty pass stops the cascade. The final mask is
+the voxel-wise majority vote of the whole refinement roster, where a stage
+that did not run votes empty, and it is ``no_brain_found`` exactly when empty.
 """
 
 from __future__ import annotations
@@ -95,8 +95,9 @@ class CascadeConfig:
 class ExtractionResult:
     mask: Volume
     roi_trace: list[tuple[str, BoundingBox]] = field(default_factory=list)
-    status: str = STATUS_OK
-    stage_masks: dict = field(default_factory=dict)  # name -> mask on the first dfs region
+    stage_masks: dict = field(default_factory=dict)  # name -> first-region mask, if it kept a voxel
+    # the one place a status is decided: no_brain_found exactly when the mask is empty
+    status = property(lambda self: STATUS_OK if self.mask.data.any() else STATUS_NO_BRAIN)
 
 
 def reconstruct_full(s: Volume, r: BoundingBox, dims) -> Volume:
@@ -144,8 +145,8 @@ def dfs_refine(vol: Volume, region: BoundingBox, config: CascadeConfig) -> Extra
 
     Each stage thresholds its accumulated probability map and shrinks the
     region to the largest component's bounding box. A stage producing an
-    empty mask stops the cascade; the vote runs over the stages completed
-    so far.
+    empty mask stops the cascade. The vote runs over the whole roster: that
+    stage and every later one vote empty and have no ``stage_masks`` entry.
     """
     roi_trace: list[tuple[str, BoundingBox]] = []
     masks: list[Volume] = []  # in the first region's frame
@@ -168,12 +169,11 @@ def dfs_refine(vol: Volume, region: BoundingBox, config: CascadeConfig) -> Extra
         )
         roi_trace.append((stage.name, r))
     stage_masks = dict(zip([st.name for st in config.dfs_stages], masks))
-    if not masks:
-        empty = Volume(np.zeros(vol.dims, dtype=np.uint8), vol.spacing, Kind.MASK)
-        return ExtractionResult(empty, roi_trace, STATUS_NO_BRAIN, stage_masks)
+    if missing := len(config.dfs_stages) - len(masks):  # the stages that did not run vote empty
+        masks += [Volume(np.zeros(region.shape, np.uint8), vol.spacing, Kind.MASK)] * missing
     # the stage masks live in the first region's frame: vote there, pad once
     final = reconstruct_full(majority_vote(masks), region, vol.dims)
-    return ExtractionResult(final, roi_trace, STATUS_OK, stage_masks)
+    return ExtractionResult(final, roi_trace, stage_masks)
 
 
 def extract_brain(vol: Volume, config: CascadeConfig,
@@ -189,7 +189,7 @@ def extract_brain(vol: Volume, config: CascadeConfig,
     box = bfs_localize(conformed, config)
     if box is None:
         empty = Volume(np.zeros(conformed.dims, np.uint8), conformed.spacing, Kind.MASK)
-        return ExtractionResult(empty, status=STATUS_NO_BRAIN)
+        return ExtractionResult(empty)
     result = dfs_refine(conformed, box, config)
     return replace(result, roi_trace=[("bfs", box)] + result.roi_trace)
 

@@ -10,7 +10,7 @@ import pytest
 from braincascade import cascade, metrics, synth
 from braincascade import volume as vol_ops
 from braincascade.cascade import (
-    STATUS_NO_BRAIN, STATUS_OK, CascadeConfig, StageSpec, bfs_localize,
+    STATUS_NO_BRAIN, STATUS_OK, CascadeConfig, ExtractionResult, StageSpec, bfs_localize,
     config_from_dict, default_noisy_config, dfs_refine,
     extract_brain, reconstruct_full, single_pass_extract,
 )
@@ -145,6 +145,74 @@ class TestDfsRefine:
         assert all(a >= b for a, b in zip(volumes, volumes[1:]))
 
 
+def shell_case():
+    """A 64³ shell (radius 9-12 around the centre), a ball of radius 4 in its
+    hollow, and an all-zero scan."""
+    d = np.sqrt(sum((g - 32.0) ** 2 for g in np.indices((64, 64, 64))))
+    shell = mask((d >= 9) & (d <= 12))
+    ball = mask(d <= 4)
+    return shell, ball, intensity(np.zeros((64, 64, 64)))
+
+
+def zero_stage(name, window, step):
+    return StageSpec(name, ConstantPredictor(0.0, window), step)
+
+
+class TestWholeRosterVote:
+    """The vote runs over the whole refinement roster: a stage that did not
+    run votes empty, and an empty mask is ``no_brain_found``."""
+
+    @staticmethod
+    def extract(shell, img, dfs_stages):
+        config = CascadeConfig([oracle_stage("a", shell, 32, 16)], dfs_stages)
+        return extract_brain(img, config, conform_side=64)
+
+    def test_second_stage_empty_is_no_brain(self):
+        # B alone is one vote of three, not a majority
+        shell, _, img = shell_case()
+        result = self.extract(shell, img, [oracle_stage("b", shell, 32, 16),
+                                           zero_stage("c", 16, 8),
+                                           oracle_stage("d", shell, 8, 8)])
+        assert result.status == STATUS_NO_BRAIN
+        assert not result.mask.data.any() and result.mask.dims == (64, 64, 64)
+        assert list(result.stage_masks) == ["b"]
+        assert [name for name, _ in result.roi_trace] == ["bfs", "b"]
+
+    def test_empty_vote_of_stages_that_all_ran_is_no_brain(self):
+        # both stages keep a voxel, but no voxel has both votes
+        shell, ball, img = shell_case()
+        result = self.extract(shell, img, [oracle_stage("b", shell, 32, 16),
+                                           oracle_stage("c", ball, 16, 8)])
+        assert list(result.stage_masks) == ["b", "c"]
+        assert result.status == STATUS_NO_BRAIN
+        assert not result.mask.data.any()
+
+    def test_last_stage_empty_keeps_the_two_votes(self):
+        shell, _, img = shell_case()
+        result = self.extract(shell, img, [oracle_stage("b", shell, 32, 16),
+                                           oracle_stage("c", shell, 16, 8),
+                                           zero_stage("d", 8, 8)])
+        assert result.status == STATUS_OK
+        np.testing.assert_array_equal(result.mask.data, shell.data)
+
+    def test_status_is_derived_from_the_mask(self):
+        assert ExtractionResult(mask(np.zeros((4, 4, 4)))).status == STATUS_NO_BRAIN
+        assert ExtractionResult(mask(np.ones((4, 4, 4)))).status == STATUS_OK
+        with pytest.raises(TypeError):  # no caller can pass a status
+            ExtractionResult(mask(np.zeros((4, 4, 4))), status=STATUS_OK)
+
+    def test_absent_brain_seed_3105(self):
+        """An all-zero truth under the shrink benchmark's blob noise: stage B
+        keeps a blob and stage C comes up empty."""
+        img, _ = phantom_case(3105)
+        gt = mask(np.zeros((192, 192, 192)))
+        noise = NoiseSpec(fp_blob_rate=3.0, fn_hole_rate=2.0, fp_blob_radius=(2.0, 6.0))
+        result = extract_brain(img, default_noisy_config(gt, noise, master_seed=3105))
+        assert [name for name, _ in result.roi_trace] == ["bfs", "B"]
+        assert result.status == STATUS_NO_BRAIN
+        assert not result.mask.data.any()
+
+
 class TestExtractBrain:
     def test_end_to_end_oracle(self):
         img, gt = phantom_case(6)
@@ -198,12 +266,12 @@ class TestExtractBrain:
             extract_brain(m, config)
 
     def test_thread_determinism(self):
+        """Windows run one at a time and ``threads`` has no effect, so there is
+        no thread count to vary: two runs must give the same bytes."""
         img, gt = phantom_case(7, (96, 96, 96))
         noise = NoiseSpec(per_voxel_fp=0.05, fp_blob_rate=0.5)
-        results = []
-        for threads in (1, 8):
-            config = default_noisy_config(gt, noise, master_seed=7, threads=threads)
-            results.append(extract_brain(img, config, conform_side=96))
+        results = [extract_brain(img, default_noisy_config(gt, noise, master_seed=7),
+                                 conform_side=96) for _ in range(2)]
         np.testing.assert_array_equal(results[0].mask.data, results[1].mask.data)
         assert results[0].roi_trace == results[1].roi_trace
 

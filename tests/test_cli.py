@@ -138,6 +138,34 @@ class TestExtract:
         mask = io_nifti.read_nifti(out, kind=Kind.MASK)
         assert mask.data.sum() == 0
 
+    def test_second_stage_empty_exit_2(self, tmp_path, capsys):
+        """Stage b keeps the shell, c predicts nothing, so d never runs: one
+        vote of three is no majority."""
+        d = np.sqrt(sum((g - 32.0) ** 2 for g in np.indices((64, 64, 64))))
+        shell = ((d >= 9) & (d <= 12)).astype(np.uint8)
+        io_nifti.write_nifti(Volume(shell.astype(np.float32), kind=Kind.INTENSITY),
+                             tmp_path / "img.nii", "float32")
+        io_nifti.write_nifti(Volume(shell, kind=Kind.MASK), tmp_path / "gt.nii", "uint8")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "gt": str(tmp_path / "gt.nii"),
+            "predictor": {"backend": "oracle"},
+            "bfs_stages": [{"name": "a", "window": 32, "step": 16}],
+            "dfs_stages": [{"name": "b", "window": 32, "step": 16},
+                           {"name": "c", "window": 16, "step": 8,
+                            "predictor": {"backend": "constant", "value": 0.0}},
+                           {"name": "d", "window": 8, "step": 8}],
+        }))
+        out = tmp_path / "mask.nii"
+        assert main(["extract", str(tmp_path / "img.nii"), "--config", str(cfg),
+                     "--out", str(out), "--side", "64"]) == 2
+        assert capsys.readouterr().err == "no brain found\n"
+        mask = io_nifti.read_nifti(out, kind=Kind.MASK)
+        assert mask.dims == (64, 64, 64) and not mask.data.any()
+        trace = json.loads((tmp_path / "mask_trace.json").read_text())
+        assert trace["status"] == "no_brain_found"
+        assert [s["stage"] for s in trace["roi_trace"]] == ["bfs", "b"]
+
     def external_die_config(self, tmp_path):
         cfg = tmp_path / "die.json"
         cfg.write_text(json.dumps({

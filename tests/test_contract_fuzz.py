@@ -10,7 +10,12 @@ or in its voxel bytes, as `.nii`, and runs the same two commands; a
 `.nii.gz` one of them reads must hold the original bytes. A config case puts
 one backend's predictor object at the top level or in a stage entry of a
 valid config, mutates one value at the top level, in a stage entry or in
-that predictor object, and runs `extract --side 16` on it. Each case checks
+that predictor object, and runs `extract --side 16` on it. A roster case
+gives the valid config a refinement roster of one to four stages, each an
+oracle or a constant-0 predictor, and runs `extract --side 16` on it: the
+vote is over the whole roster, so it exits 0 with a mask exactly when the
+stages before the first constant-0 one are a strict majority, and 2
+otherwise. Each case checks
 what the README documents: exit 0, 1 or 2; on 1, exactly one
 stderr line `error: …`; on 2, exactly `no brain found`; no traceback and no
 warning. Every size and count stays at 16 or below (`synth --count` at 2), so
@@ -265,6 +270,45 @@ def test_config_fuzz_mutates_every_level(tmp_path):
     write_inputs(tmp_path)
     assert {make_config(seed, tmp_path)[1] for seed in CONFIG_SEEDS} == {
         "top level", "stage", *(f"{backend} predictor" for backend in PREDICTORS)}
+
+
+ROSTER_SEEDS = range(24)
+
+
+def make_roster(seed):
+    """The refinement roster of roster case ``seed``: one to four stages with
+    strictly decreasing windows of 16 or below, each an oracle or a
+    constant-0 predictor. Returns the stages and whether the stages before the
+    first constant-0 one are a strict majority of them."""
+    rng = random.Random(seed)
+    windows = sorted(rng.sample(range(2, 17), rng.randint(1, 4)), reverse=True)
+    stages = []
+    for i, window in enumerate(windows):
+        stage = {"name": f"s{i}", "window": window,
+                 "step": rng.randint(max(1, window // 2), window)}
+        if rng.random() < 0.4:
+            stage["predictor"] = {"backend": "constant", "value": 0.0}
+        stages.append(stage)
+    ran = next((i for i, st in enumerate(stages) if "predictor" in st), len(stages))
+    return stages, 2 * ran > len(stages)
+
+
+@pytest.mark.parametrize("seed", ROSTER_SEEDS)
+def test_roster_vote_fuzz(seed, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    cfg = json.loads((tmp_path / "config.json").read_text())
+    cfg["dfs_stages"], majority = make_roster(seed)
+    (tmp_path / "case.json").write_text(json.dumps(cfg))
+    code, _ = check_main(["extract", "scan.nii", "--config", "case.json", "--out", "out.nii",
+                          "--side", "16"], monkeypatch, capsys)
+    assert code == (0 if majority else 2), cfg["dfs_stages"]
+    assert io_nifti.read_nifti(tmp_path / "out.nii", kind=Kind.MASK).data.any() == majority
+
+
+def test_roster_fuzz_reaches_both_exits_at_every_length():
+    cases = {(len(stages), majority) for stages, majority in map(make_roster, ROSTER_SEEDS)}
+    assert cases == {(n, majority) for n in range(1, 5) for majority in (True, False)}
 
 
 FLOATS = [0.0, -1.0, 1e-30, 1e-3, 0.5, 2.0, 351.0, 353.0, 700.0, 1e12, 1e30, 3e38,
